@@ -11,6 +11,7 @@ from .model import (
     estimate_gamma,
     estimate_xi,
     forward_distribution,
+    gamma_estimates,
     klyshko_estimate,
     weighted_mean,
 )
@@ -19,12 +20,12 @@ from .histogram import (
     FitQuality,
     GaussianPeak,
     MixtureFit,
-    assess_quality,
     build_histogram,
     extract_counts,
     fit_mixture,
 )
 from .uncertainty import (
+    CountingEstimators,
     GammaEstimator,
     InputVector,
     KlyshkoEstimator,

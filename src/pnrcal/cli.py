@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import (
     UninformativeBinError,
 )
 from .model import CountVector, HeraldPurity, HeraldStats, estimate_xi
+from .uncertainty import counting_inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,7 +140,7 @@ def _fit_counts(kind: str, path: Path, n_bins: int, n_peaks: int):
     }
 
 
-def _run_calibration(args) -> tuple[int, reports.CalibrationResult | None]:
+def _run_calibration(args) -> reports.CalibrationResult:
     parser = _read_ini(args.config)
     xi = _herald_purity(parser)
 
@@ -165,19 +167,11 @@ def _run_calibration(args) -> tuple[int, reports.CalibrationResult | None]:
 
     covariance = None
     if args.covariance:
-        names = (
-            [f"C_on_{i}" for i in range(on.counts.size)]
-            + [f"C_off_{i}" for i in range(off.counts.size)]
-            + ["xi"]
-        )
-        covariance = reports.load_covariance_csv(args.covariance, tuple(names))
+        names = counting_inputs(on, off, xi).names
+        covariance = reports.load_covariance_csv(args.covariance, names)
 
     result = reports.calibrate_counts(on, off, xi, covariance=covariance)
-    if fit_quality is not None:
-        result = reports.CalibrationResult(
-            result.estimates, result.budgets, result.combined, result.inputs, fit_quality
-        )
-    return EXIT_OK, result
+    return dataclasses.replace(result, fit_quality=fit_quality)
 
 
 def cmd_simulate(args) -> int:
@@ -234,15 +228,21 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    """`calibrate` and `budget`: run the calibration, map each failure to
+    its exit code and stderr line, then write the command's reports."""
     try:
-        code, result = _run_calibration(args)
+        result = _run_calibration(args)
+    except UninformativeBinError as exc:
+        return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
     except (ConfigError, DomainError, configparser.Error) as exc:
-        if isinstance(exc, UninformativeBinError):
-            return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
     except (FitFailureError, InitializationError) as exc:
         return _fail(EXIT_FIT, error="fit", detail=_oneline(exc))
-    out = reports.ensure_dir(args.out)
+    args.write_reports(result, reports.ensure_dir(args.out))
+    return EXIT_OK
+
+
+def _write_calibration(result: reports.CalibrationResult, out: Path) -> None:
     document = reports.calibration_report_json(result)
     reports.write_json(document, out / "calibration.json")
     reports.budget_table_csv(result, out / "budget.csv")
@@ -255,24 +255,13 @@ def cmd_calibrate(args) -> int:
         result.combined.gamma * 100.0, result.combined.u_gamma * 100.0
     )
     print(f"weighted_mean = ({v} +/- {u}) %")
-    return EXIT_OK
 
 
-def cmd_budget(args) -> int:
-    try:
-        code, result = _run_calibration(args)
-    except (ConfigError, DomainError, configparser.Error) as exc:
-        if isinstance(exc, UninformativeBinError):
-            return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
-        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
-    except (FitFailureError, InitializationError) as exc:
-        return _fail(EXIT_FIT, error="fit", detail=_oneline(exc))
-    out = reports.ensure_dir(args.out)
+def _write_budget(result: reports.CalibrationResult, out: Path) -> None:
     reports.budget_table_csv(result, out / "budget.csv")
     document = reports.calibration_report_json(result)
     reports.write_json({"budgets": document["budgets"], "meta": document["meta"]}, out / "budget.json")
     print(f"targets={sorted(result.budgets)} out={out}")
-    return EXIT_OK
 
 
 def cmd_closure(args) -> int:
@@ -319,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_fit)
 
-    for name, func in (("calibrate", cmd_calibrate), ("budget", cmd_budget)):
+    for name, write in (("calibrate", _write_calibration), ("budget", _write_budget)):
         p = sub.add_parser(name, help=f"{name} from a pipeline config")
         p.add_argument("config")
         p.add_argument("--bypass-fit", action="store_true")
@@ -327,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--peaks", type=int, default=None)
         p.add_argument("--covariance", default=None)
         p.add_argument("--out", default="reports")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_calibrate, write_reports=write)
 
     p = sub.add_parser("closure", help="run the end-to-end closure test")
     p.add_argument("config")

@@ -370,6 +370,8 @@ def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:
 
 
 def _quality(params: np.ndarray, hist: AmplitudeHistogram, n_peaks: int) -> FitQuality:
+    """Reduced chi-square (Poisson bin variances, floored at one count),
+    reduced total sum of squares about the histogram mean, and their ratio."""
     y = hist.counts
     model = gaussian_sum(hist.bin_centers, params)
     dof = int(np.count_nonzero(y)) - 3 * n_peaks
@@ -381,12 +383,6 @@ def _quality(params: np.ndarray, hist: AmplitudeHistogram, n_peaks: int) -> FitQ
     red_tss = tss / max(y.size - 1, 1)
     ratio = red_chi2 / red_tss if red_tss > 0 else math.inf
     return FitQuality(red_chi2, red_tss, ratio, dof)
-
-
-def assess_quality(fit: MixtureFit, hist: AmplitudeHistogram) -> FitQuality:
-    """Reduced chi-square (Poisson bin variances, floored at one count),
-    reduced total sum of squares about the histogram mean, and their ratio."""
-    return _quality(fit.parameters, hist, fit.n_peaks)
 
 
 def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:

@@ -6,6 +6,12 @@ observed in heralded gates.  Each photon-number bin then yields an
 independent closed-form estimate of the efficiency, plus the click/no-click
 (Klyshko-style) contraction and an inverse-variance weighted combination.
 
+`gamma_estimates` is the one place these formulas and their derivatives
+are written: it maps raw ON/OFF counts and the herald purity to every
+estimate and the full Jacobian.  The distribution-level estimators here,
+the gradient views in the uncertainty module, the calibration report and
+the closure test all read from it.
+
 Efficiencies are carried as dimensionless fractions everywhere; rendering
 in percent happens only in the report layer.
 """
@@ -20,13 +26,6 @@ import numpy as np
 from .errors import DomainError, UninformativeBinError
 
 OUT_OF_RANGE = "out-of-range"
-
-SOURCE_KLYSHKO = "klyshko"
-SOURCE_WEIGHTED_MEAN = "weighted-mean"
-
-
-def source_for_index(i: int) -> str:
-    return f"gamma{i}"
 
 
 @dataclass(frozen=True)
@@ -209,19 +208,79 @@ def _shared_support(
     return p_on.padded(k), p_off.padded(k)
 
 
+def estimate_names(k: int) -> list[str]:
+    """Names of the rows of `gamma_estimates` for k photon-number bins."""
+    return [f"gamma{i}" for i in range(k)] + ["gammaK"]
+
+
+def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Every closed-form estimate and its Jacobian, from raw counts.
+
+    With P = C_on / sum(C_on) and B = C_off / sum(C_off) over k bins:
+    gamma_0 = (B(0) - P(0)) / (xi * B(0)),
+    gamma_i = (P(i) - B(i)) / (xi * (B(i-1) - B(i))) for 1 <= i < k, and
+    gamma_K = (B(0) - P(0)) / xi, the click/no-click contraction.
+    Returns the values [gamma_0 .. gamma_{k-1}, gamma_K] and their
+    (k+1) x (2k+1) Jacobian over (C_on, C_off, xi), the order of
+    `uncertainty.counting_inputs`.  An estimate whose denominator vanishes
+    comes back non-finite, without a warning; callers decide what an
+    undefined bin means.
+    """
+    c_on = np.asarray(c_on, dtype=float)
+    c_off = np.asarray(c_off, dtype=float)
+    k = c_on.size
+    i = np.arange(1, k)
+    # numerator = sign @ (P - B); denominator = diff @ B, plus 1 for gamma_K
+    sign = np.zeros((k + 1, k))
+    sign[0, 0] = sign[k, 0] = -1.0
+    sign[i, i] = 1.0
+    diff = np.zeros((k + 1, k))
+    diff[0, 0] = 1.0
+    diff[i, i - 1] = 1.0
+    diff[i, i] = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, t = c_on.sum(), c_off.sum()
+        p, b = c_on / s, c_off / t
+        den = diff @ b
+        den[k] = 1.0
+        values = (sign @ (p - b)) / (xi * den)
+        # d gamma / d numerator = 1 / (xi den); d gamma / d den = -gamma / den
+        d_p = (1.0 / (xi * den))[:, None] * sign
+        d_b = -d_p - (values / den)[:, None] * diff
+        # dP_a/dC_j = (delta_aj - P_a) / S, and the same for B over T
+        jac = np.concatenate(
+            [
+                (d_p - (d_p @ p)[:, None]) / s,
+                (d_b - (d_b @ b)[:, None]) / t,
+                (-values / xi)[:, None],
+            ],
+            axis=1,
+        )
+    return values, jac
+
+
+def require_defined(values: np.ndarray, bins) -> None:
+    """Raise UninformativeBinError for the first of `bins` whose
+    `gamma_estimates` value is undefined."""
+    for i in bins:
+        if not np.isfinite(values[i]):
+            if i == 0:
+                raise UninformativeBinError("B(0) = 0: gamma_0 undefined")
+            raise UninformativeBinError(
+                f"B({i - 1}) = B({i}): gamma_{i} denominator vanishes"
+            )
+
+
 def estimate_gamma(
     i: int,
     p_on: PhotonNumberDistribution,
     p_off: PhotonNumberDistribution,
     xi: HeraldPurity,
 ) -> EfficiencyEstimate:
-    """Per-photon-number efficiency estimate.
-
-    gamma_0 = (B(0) - P(0)) / (xi * B(0)); for i >= 1
-    gamma_i = (P(i) - B(i)) / (xi * (B(i-1) - B(i))),
-    where P is the heralded and B the non-heralded distribution.
-    The uncertainty field is left at zero; propagation lives in the
-    uncertainty module.  Out-of-range values are flagged, never clamped.
+    """gamma_i of `gamma_estimates` on the heralded distribution P and the
+    non-heralded distribution B.  The uncertainty field is left at zero;
+    propagation lives in the uncertainty module.  Out-of-range values are
+    flagged, never clamped.
     """
     if i < 0:
         raise DomainError("photon-number index must be >= 0")
@@ -230,19 +289,9 @@ def estimate_gamma(
     p, b = _shared_support(p_on, p_off)
     if i >= p.size:
         raise DomainError(f"index {i} outside support 0..{p.size - 1}")
-    if i == 0:
-        denom = xi.xi * b[0]
-        if denom == 0.0:
-            raise UninformativeBinError("B(0) = 0: gamma_0 undefined")
-        gamma = (b[0] - p[0]) / denom
-    else:
-        diff = b[i - 1] - b[i]
-        if diff == 0.0:
-            raise UninformativeBinError(
-                f"B({i - 1}) = B({i}): gamma_{i} denominator vanishes"
-            )
-        gamma = (p[i] - b[i]) / (xi.xi * diff)
-    return EfficiencyEstimate(gamma, 0.0, source_for_index(i))
+    values, _ = gamma_estimates(p, b, xi.xi)
+    require_defined(values, [i])
+    return EfficiencyEstimate(float(values[i]), 0.0, f"gamma{i}")
 
 
 def klyshko_estimate(
@@ -250,16 +299,15 @@ def klyshko_estimate(
     p_off: PhotonNumberDistribution,
     xi: HeraldPurity,
 ) -> EfficiencyEstimate:
-    """Click/no-click contraction with accidental and purity correction.
-
-    gamma_K = [(1 - P(0)) - (1 - B(0))] / xi, i.e. the excess click
-    probability in heralded gates divided by the herald purity.
+    """Click/no-click contraction gamma_K of `gamma_estimates`: the excess
+    click probability in heralded gates, [(1 - P(0)) - (1 - B(0))], divided
+    by the herald purity.
     """
     if xi.xi <= 0:
         raise DomainError("xi must be > 0")
     p, b = _shared_support(p_on, p_off)
-    gamma = (b[0] - p[0]) / xi.xi
-    return EfficiencyEstimate(gamma, 0.0, SOURCE_KLYSHKO)
+    values, _ = gamma_estimates(p, b, xi.xi)
+    return EfficiencyEstimate(float(values[-1]), 0.0, "klyshko")
 
 
 def weighted_mean(estimates: list[EfficiencyEstimate]) -> EfficiencyEstimate:
@@ -272,4 +320,4 @@ def weighted_mean(estimates: list[EfficiencyEstimate]) -> EfficiencyEstimate:
     g = np.array([e.gamma for e in estimates])
     mean = float(np.dot(w, g) / w.sum())
     u = float(1.0 / math.sqrt(w.sum()))
-    return EfficiencyEstimate(mean, u, SOURCE_WEIGHTED_MEAN)
+    return EfficiencyEstimate(mean, u, "weighted-mean")

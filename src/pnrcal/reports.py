@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import uncertainty as unc
-from .errors import DomainError
+from .errors import DomainError, UninformativeBinError
 from .model import (
     CountVector,
     EfficiencyEstimate,
     HeraldPurity,
-    counts_to_distribution,
-    estimate_gamma,
-    klyshko_estimate,
+    estimate_names,
+    require_defined,
     weighted_mean,
 )
 
@@ -60,38 +59,43 @@ def calibrate_counts(
     off: CountVector,
     xi: HeraldPurity,
     covariance: np.ndarray | None = None,
-    max_index: int | None = None,
 ) -> CalibrationResult:
-    """Run estimators and budgets on extracted (or injected) counts."""
+    """Every estimate and budget on extracted (or injected) counts, from
+    one cross-checked Jacobian of the estimator core.
+
+    A photon number with no counts on either side, or whose estimate is
+    undefined, raises UninformativeBinError naming it.
+    """
     inputs = unc.counting_inputs(on, off, xi)
     if covariance is not None:
         inputs = unc.InputVector(
             inputs.names, inputs.values, inputs.uncertainties, covariance
         )
-    p_on = counts_to_distribution(on)
-    p_off = counts_to_distribution(off)
-    if max_index is None:
-        max_index = on.counts.size - 1
+    if on.total <= 0 or off.total <= 0:
+        raise DomainError("total count must be > 0")
+    if xi.xi <= 0:
+        raise DomainError("xi must be > 0")
+    k = on.counts.size
+    empty = np.flatnonzero((on.counts == 0) & (off.counts == 0))
+    if empty.size:
+        raise UninformativeBinError(
+            f"photon number {empty[0]} has no counts on either side"
+        )
+    core = unc.CountingEstimators()
+    values = core(inputs)
+    require_defined(values, range(k))
+    jac = unc.jacobian(core, inputs)
 
+    names = estimate_names(k)
+    sources = names[:k] + ["klyshko"]
     estimates: dict[str, EfficiencyEstimate] = {}
     budgets: dict[str, unc.UncertaintyBudget] = {}
-    for i in range(max_index + 1):
-        raw = estimate_gamma(i, p_on, p_off, xi)
-        budget = unc.budget_for(unc.GammaEstimator(i), inputs)
-        name = f"gamma{i}"
+    for name, source, value, gradient in zip(names, sources, values, jac):
+        budgets[name] = unc.propagate(gradient, inputs, target=name)
         estimates[name] = EfficiencyEstimate(
-            raw.gamma, budget.combined, raw.source, raw.flags
+            float(value), budgets[name].combined, source
         )
-        budgets[name] = budget
-    raw = klyshko_estimate(p_on, p_off, xi)
-    budget = unc.budget_for(unc.KlyshkoEstimator(), inputs)
-    estimates["gammaK"] = EfficiencyEstimate(
-        raw.gamma, budget.combined, raw.source, raw.flags
-    )
-    budgets["gammaK"] = budget
-
-    per_index = [estimates[f"gamma{i}"] for i in range(max_index + 1)]
-    combined = weighted_mean(per_index)
+    combined = weighted_mean([estimates[name] for name in names[:k]])
     return CalibrationResult(estimates, budgets, combined, inputs)
 
 

@@ -21,13 +21,7 @@ import numpy as np
 from . import histogram as hg
 from . import uncertainty as unc
 from .errors import ConfigError, DomainError
-from .model import (
-    HeraldStats,
-    counts_to_distribution,
-    estimate_gamma,
-    estimate_xi,
-    klyshko_estimate,
-)
+from .model import HeraldStats, estimate_names, estimate_xi, gamma_estimates
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,6 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     init_centers = config.peak_center(np.arange(n_peaks)).astype(float)
     init_widths = config.peak_width(np.arange(n_peaks)).astype(float)
 
-    results = {}
     stats = simulate_herald_stats(config, dark_rate_for_purity(config))
     xi = estimate_xi(stats)
     counts = {}
@@ -270,24 +263,16 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
         counts[tag], _, _ = hg.robust_peak_counts(hist, n_peaks, init=init)
 
     inputs = unc.counting_inputs(counts["on"], counts["off"], xi)
-    p_on = counts_to_distribution(counts["on"])
-    p_off = counts_to_distribution(counts["off"])
-    # analytic gradients here: padded zero counts sit below the resolution
-    # of the fixed finite-difference step, so the cross-checking jacobian()
-    # path would reject them spuriously
-    for i in range(max_index + 1):
-        try:
-            est = estimate_gamma(i, p_on, p_off, xi)
-            estimator = unc.GammaEstimator(i)
-            budget = unc.propagate(estimator.gradient(inputs), inputs, estimator.name)
-        except DomainError:
-            continue  # uninformative bin for this seed; others still count
-        results[f"gamma{i}"] = (est.gamma, budget.combined)
-    est = klyshko_estimate(p_on, p_off, xi)
-    estimator = unc.KlyshkoEstimator()
-    budget = unc.propagate(estimator.gradient(inputs), inputs, estimator.name)
-    results["gammaK"] = (est.gamma, budget.combined)
-    return results
+    values, jac = gamma_estimates(counts["on"].counts, counts["off"].counts, xi.xi)
+    # the analytic Jacobian, not the cross-checking jacobian(): padded zero
+    # counts sit below the resolution of the fixed finite-difference step,
+    # so the cross-check would reject them spuriously.  An undefined bin is
+    # skipped for this seed; the others still count.
+    return {
+        name: (float(value), unc.propagate(gradient, inputs, name).combined)
+        for name, value, gradient in zip(estimate_names(n_peaks), values, jac)
+        if math.isfinite(value)
+    }
 
 
 def closure_test(
@@ -331,9 +316,8 @@ def closure_test(
                 per_seed.append(None)
                 failures.append(f"seed={seeds[k]} stage_error={exc!r}")
 
-    names = [f"gamma{i}" for i in range(max_index + 1)] + ["gammaK"]
     estimators = []
-    for name in names:
+    for name in estimate_names(max_index + 1):
         vals = np.array(
             [r[name][0] for r in per_seed if r is not None and name in r]
         )

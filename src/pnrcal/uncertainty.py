@@ -3,9 +3,10 @@
 Every efficiency estimator is a smooth function of the raw inputs: the
 per-photon-number counts of the heralded (ON) and non-heralded (OFF)
 spectra plus the herald purity.  This module carries those inputs with
-their uncertainties (and optionally a full covariance), differentiates the
-estimators both analytically and by central finite differences, and turns
-gradients into per-input contribution budgets.
+their uncertainties (and optionally a full covariance), chains them into
+the estimator core `model.gamma_estimates` (all estimates and their
+analytic Jacobian), cross-checks that Jacobian against central finite
+differences, and turns gradients into per-input contribution budgets.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalInstabilityError
-from .model import CountVector, HeraldPurity
+from .model import CountVector, HeraldPurity, gamma_estimates
 
 # Central-difference step: h = max(1e-6 * |q|, 1e-10), fixed for
 # reproducibility across platforms.
@@ -103,121 +104,90 @@ def counting_inputs(
     return InputVector(tuple(names), values, u)
 
 
-def _unpack(iv: InputVector) -> tuple[np.ndarray, np.ndarray, float]:
-    if iv.size % 2 != 1 or iv.size < 3:
-        raise DomainError("expected 2k counts plus xi")
-    k = (iv.size - 1) // 2
-    return iv.values[:k], iv.values[k : 2 * k], float(iv.values[-1])
+class CountingEstimators:
+    """Every estimate of `model.gamma_estimates` as one vector-valued
+    estimator of a `counting_inputs` vector: the values
+    [gamma_0 .. gamma_{k-1}, gamma_K] and their Jacobian."""
+
+    row = slice(None)
+
+    def _select(self, rows: np.ndarray) -> np.ndarray:
+        return rows[self.row]
+
+    def _evaluate(self, iv: InputVector) -> tuple[np.ndarray, np.ndarray]:
+        if iv.size % 2 != 1 or iv.size < 3:
+            raise DomainError("expected 2k counts plus xi")
+        k = (iv.size - 1) // 2
+        return gamma_estimates(iv.values[:k], iv.values[k : 2 * k], iv.values[-1])
+
+    def __call__(self, iv: InputVector):
+        return self._select(self._evaluate(iv)[0])
+
+    def gradient(self, iv: InputVector) -> np.ndarray:
+        return self._select(self._evaluate(iv)[1])
 
 
-class GammaEstimator:
-    """Closed-form per-photon-number estimator as a function of raw counts."""
+class GammaEstimator(CountingEstimators):
+    """Per-photon-number estimator gamma_i: row i of the estimator core."""
 
     def __init__(self, i: int):
         if i < 0:
             raise DomainError("photon-number index must be >= 0")
-        self.i = i
+        self.row = i
         self.name = f"gamma{i}"
 
-    def __call__(self, iv: InputVector) -> float:
-        c_on, c_off, xi = _unpack(iv)
-        p = c_on / c_on.sum()
-        b = c_off / c_off.sum()
-        i = self.i
-        if i == 0:
-            return float((b[0] - p[0]) / (xi * b[0]))
-        return float((p[i] - b[i]) / (xi * (b[i - 1] - b[i])))
-
-    def gradient(self, iv: InputVector) -> np.ndarray:
-        c_on, c_off, xi = _unpack(iv)
-        k = c_on.size
-        s, t = c_on.sum(), c_off.sum()
-        p = c_on / s
-        b = c_off / t
-        i = self.i
-        grad = np.zeros(iv.size)
-        # dP_a/dC_j = (delta_aj - P_a) / S, same for the OFF normalization
-        if i == 0:
-            denom = xi * b[0]
-            for j in range(k):
-                dp0 = ((1.0 if j == 0 else 0.0) - p[0]) / s
-                grad[j] = -dp0 / denom
-            for j in range(k):
-                db0 = ((1.0 if j == 0 else 0.0) - b[0]) / t
-                grad[k + j] = p[0] / (xi * b[0] ** 2) * db0
-        else:
-            diff = b[i - 1] - b[i]
-            val = (p[i] - b[i]) / (xi * diff)
-            for j in range(k):
-                dpi = ((1.0 if j == i else 0.0) - p[i]) / s
-                grad[j] = dpi / (xi * diff)
-            for j in range(k):
-                dbi = ((1.0 if j == i else 0.0) - b[i]) / t
-                dbim = ((1.0 if j == i - 1 else 0.0) - b[i - 1]) / t
-                grad[k + j] = (-dbi * (xi * diff) - (p[i] - b[i]) * xi * (dbim - dbi)) / (
-                    xi * diff
-                ) ** 2
-        grad[-1] = -self(iv) / xi
-        return grad
+    def _select(self, rows: np.ndarray) -> np.ndarray:
+        k = rows.shape[0] - 1
+        if self.row >= k:
+            raise DomainError(f"index {self.row} outside support 0..{k - 1}")
+        return rows[self.row]
 
 
-class KlyshkoEstimator:
-    """Click/no-click contraction gamma_K = (B(0) - P(0)) / xi."""
+class KlyshkoEstimator(CountingEstimators):
+    """Click/no-click contraction gamma_K = (B(0) - P(0)) / xi: the last
+    row of the estimator core."""
 
     name = "gammaK"
-
-    def __call__(self, iv: InputVector) -> float:
-        c_on, c_off, xi = _unpack(iv)
-        p0 = c_on[0] / c_on.sum()
-        b0 = c_off[0] / c_off.sum()
-        return float((b0 - p0) / xi)
-
-    def gradient(self, iv: InputVector) -> np.ndarray:
-        c_on, c_off, xi = _unpack(iv)
-        k = c_on.size
-        s, t = c_on.sum(), c_off.sum()
-        p0 = c_on[0] / s
-        b0 = c_off[0] / t
-        grad = np.zeros(iv.size)
-        for j in range(k):
-            grad[j] = -(((1.0 if j == 0 else 0.0) - p0) / s) / xi
-            grad[k + j] = (((1.0 if j == 0 else 0.0) - b0) / t) / xi
-        grad[-1] = -self(iv) / xi
-        return grad
+    row = -1
 
 
 def finite_difference_gradient(f, at: InputVector) -> np.ndarray:
-    """Central differences with step max(1e-6 |q|, 1e-10) per component."""
+    """Central differences with step max(1e-6 |q|, 1e-10) per component.
+
+    A vector-valued estimator gives one row per output component."""
     q = at.values
-    grad = np.zeros(q.size)
+    columns = []
     for j in range(q.size):
         h = max(FD_REL_STEP * abs(q[j]), FD_MIN_STEP)
         qp, qm = q.copy(), q.copy()
         qp[j] += h
         qm[j] -= h
-        fp = f(at.replace_values(qp))
-        fm = f(at.replace_values(qm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
+        fp = np.asarray(f(at.replace_values(qp)), dtype=float)
+        fm = np.asarray(f(at.replace_values(qm)), dtype=float)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise DomainError(f"estimator undefined at perturbed {at.names[j]}")
-        grad[j] = (fp - fm) / (2.0 * h)
-    return grad
+        columns.append((fp - fm) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def jacobian(f, at: InputVector) -> np.ndarray:
     """Gradient of an estimator, computed analytically and cross-checked
     against central finite differences; disagreement beyond 1e-6 relative
-    raises NumericalInstabilityError."""
+    raises NumericalInstabilityError.  A vector-valued estimator gets the
+    same check row by row."""
     if not hasattr(f, "gradient"):
         raise TypeError("estimator must expose an analytic .gradient")
-    analytic = f.gradient(at)
+    analytic = np.asarray(f.gradient(at), dtype=float)
     fd = finite_difference_gradient(f, at)
     # Two noise floors limit what central differences can certify: components
     # many decades below the gradient norm sit under the cancellation noise
     # of the fixed relative step, and every difference quotient carries an
     # absolute rounding floor of order eps * |f| / h.
-    scale = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-300)
+    scale = np.maximum(
+        np.maximum(np.abs(analytic).max(axis=-1), np.abs(fd).max(axis=-1)), 1e-300
+    )[..., None]
     steps = np.maximum(FD_REL_STEP * np.abs(at.values), FD_MIN_STEP)
-    f_scale = max(1.0, abs(f(at)))
+    f_scale = np.maximum(1.0, np.abs(np.asarray(f(at), dtype=float)))[..., None]
     rounding_floor = 16.0 * np.finfo(float).eps * f_scale / steps
     tol = (
         GRADIENT_AGREEMENT_RTOL * np.maximum(np.abs(analytic), np.abs(fd))
@@ -226,10 +196,10 @@ def jacobian(f, at: InputVector) -> np.ndarray:
     )
     bad = np.abs(analytic - fd) > tol
     if bad.any():
-        j = int(np.argmax(np.abs(analytic - fd)))
+        worst = np.unravel_index(np.argmax(np.abs(analytic - fd)), analytic.shape)
         raise NumericalInstabilityError(
-            f"analytic/finite-difference gradients disagree at {at.names[j]}: "
-            f"{analytic[j]!r} vs {fd[j]!r}"
+            f"analytic/finite-difference gradients disagree at {at.names[worst[-1]]}: "
+            f"{analytic[worst]!r} vs {fd[worst]!r}"
         )
     return analytic
 

@@ -130,14 +130,25 @@ class TestCalibrateBypass:
             assert abs(e["fraction"]) < 1e-12
 
     def test_uninformative_bin_exit_4(self, tmp_path, capsys):
-        text = TABLE_COUNTS.replace(
-            "off = 5.103e6 1.4600e4 23.9", "off = 0.5 0.5 0"
-        ).replace("off_u = 1.4e4 150 1.5", "off_u = 0 0 0")
-        cfg = write(tmp_path, "cal.ini", text)
-        code = main(["calibrate", cfg, "--bypass-fit",
-                     "--out", str(tmp_path / "rep")])
-        assert code == EXIT_UNINFORMATIVE
-        assert "uninformative" in capsys.readouterr().err
+        cases = [
+            # B(0) = B(1): the gamma_1 denominator vanishes
+            {"off = 5.103e6 1.4600e4 23.9": "off = 0.5 0.5 0",
+             "off_u = 1.4e4 150 1.5": "off_u = 0 0 0"},
+            # both fits dropped the n=2 peak: no counts on either side
+            {"on = 5.069e6 5.0200e4 118": "on = 5.069e6 5.02e4 0",
+             "on_u = 1.4e4 200 6": "on_u = 1.4e4 200 0",
+             "off = 5.103e6 1.4600e4 23.9": "off = 5.103e6 1.46e4 0",
+             "off_u = 1.4e4 150 1.5": "off_u = 1.4e4 150 0"},
+        ]
+        for k, replacements in enumerate(cases):
+            text = TABLE_COUNTS
+            for old, new in replacements.items():
+                text = text.replace(old, new)
+            cfg = write(tmp_path, f"cal{k}.ini", text)
+            code = main(["calibrate", cfg, "--bypass-fit",
+                         "--out", str(tmp_path / f"rep{k}")])
+            assert code == EXIT_UNINFORMATIVE, k
+            assert "uninformative" in capsys.readouterr().err
 
     def test_missing_counts_exit_2(self, tmp_path):
         cfg = write(tmp_path, "cal.ini", "[herald]\nxi = 0.9\n")

@@ -18,6 +18,7 @@ from pnrcal.model import (
     estimate_gamma,
     estimate_xi,
     forward_distribution,
+    gamma_estimates,
     klyshko_estimate,
     weighted_mean,
 )
@@ -201,6 +202,13 @@ class TestEstimateGamma:
         no_vacuum = PhotonNumberDistribution([0.0, 0.6, 0.4])
         with pytest.raises(UninformativeBinError):
             estimate_gamma(0, p_on, no_vacuum, HeraldPurity(0.9))
+
+    def test_core_undefined_bins_are_non_finite(self):
+        # B(0) = 0 leaves gamma_0 undefined and B(1) = B(2) leaves gamma_2
+        # undefined; neither may warn (warnings fail the suite)
+        values, jac = gamma_estimates([5.0, 3.0, 2.0], [0.0, 4.0, 4.0], 0.9)
+        assert list(np.isfinite(values)) == [False, True, False, True]
+        assert np.all(np.isfinite(jac[[1, 3]]))
 
     @given(
         gamma=st.floats(1e-6, 1.0),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pnrcal.errors import DomainError, NumericalInstabilityError
 from pnrcal.model import CountVector, HeraldPurity
 from pnrcal.uncertainty import (
+    CountingEstimators,
     GammaEstimator,
     InputVector,
     KlyshkoEstimator,
@@ -105,6 +106,28 @@ class TestJacobian:
                           + 1e-8 * scale)
             # jacobian() applies the same cross-check internally
             assert np.allclose(jacobian(f, iv), a, rtol=1e-12)
+
+    def test_vector_estimator_checked_row_by_row(self):
+        iv = table_inputs()
+        core = CountingEstimators()
+        g = jacobian(core, iv)
+        assert g.shape == (4, iv.size)
+        rows = (GammaEstimator(0), GammaEstimator(1), GammaEstimator(2),
+                KlyshkoEstimator())
+        for r, f in enumerate(rows):
+            assert core(iv)[r] == f(iv)
+            assert np.array_equal(g[r], jacobian(f, iv))
+        with pytest.raises(DomainError):
+            GammaEstimator(3)(iv)  # row 3 is gamma_K, not a photon number
+
+        class LyingRow(CountingEstimators):
+            def gradient(self, iv):
+                g = super().gradient(iv).copy()
+                g[2, 4] *= 1.5  # d gamma2 / d C_off_1
+                return g
+
+        with pytest.raises(NumericalInstabilityError):
+            jacobian(LyingRow(), iv)
 
     def test_disagreement_raises(self):
         class Lying(LinearFunctional):
