@@ -100,8 +100,9 @@ class FitQuality:
 class MixtureFit:
     """Converged Gaussian-mixture fit, peaks ordered by center.
 
-    `fit_mixture` returns no peak narrower than one bin or centred outside
-    the histogram; it raises FitFailureError instead.
+    `fit_mixture` returns no peak that is not finite, narrower than one
+    bin or centred outside the histogram; it raises FitFailureError
+    instead.
     """
 
     peaks: tuple[GaussianPeak, ...]
@@ -240,9 +241,10 @@ def fit_mixture(
     With the default Poisson weighting each bin residual is scaled by
     1/sqrt(max(count, 1)); `weighting="none"` gives plain least squares.
     The covariance comes from the final Jacobian with residual variance
-    scaling.  Peaks are returned sorted by center.  A fitted peak narrower
-    than one bin, or centred outside the histogram, raises FitFailureError
-    naming the peak, its center and sigma and the condition it failed.
+    scaling.  Peaks are returned sorted by center.  A fitted peak that is
+    not finite, narrower than one bin, or centred outside the histogram
+    (a runaway component) raises FitFailureError naming the peak, its
+    center and sigma and the condition it failed.
     """
     if n_peaks < 1:
         raise DomainError("need at least one peak")
@@ -288,38 +290,46 @@ def fit_mixture(
             )
         return res
 
-    if weighting == "poisson":
-        # Start from observed-count weights, then reweight by the model
-        # (Pearson): observed-count weights bias low-count peak areas and
-        # misstate their variances.  The first pass only preconditions the
-        # Pearson stages, so hitting its iteration cap is not fatal.
-        res = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)), required=False)
-        # Iterate the reweighting to its fixed point so refits started from
-        # the solution reproduce it.  At least one Pearson pass must converge
-        # within the iteration cap.
-        converged = False
-        for attempt in range(8):
-            w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, res.x), 1.0))
-            prev = res.x
-            res = solve(res.x, w, required=False)
-            converged = converged or res.status > 0
-            step = np.abs(res.x - prev)
-            if converged and np.all(
-                step <= 1e-12 * np.maximum(np.abs(res.x), 1e-300)
-            ):
-                break
-        if not converged:
-            raise FitFailureError(
-                "mixture fit did not converge within the iteration cap",
-                residual_norm=float(np.linalg.norm(res.fun)),
-            )
-    else:
-        res = solve(p0, np.ones_like(y))
+    # a runaway component overflows the model on its way out of the
+    # histogram; it is rejected below, so the overflow is no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        if weighting == "poisson":
+            # Start from observed-count weights, then reweight by the model
+            # (Pearson): observed-count weights bias low-count peak areas and
+            # misstate their variances.  The first pass only preconditions
+            # the Pearson stages, so hitting its iteration cap is not fatal.
+            res = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)), required=False)
+            # Iterate the reweighting to its fixed point so refits started
+            # from the solution reproduce it.  At least one Pearson pass must
+            # converge within the iteration cap.
+            converged = False
+            for attempt in range(8):
+                w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, res.x), 1.0))
+                prev = res.x
+                res = solve(res.x, w, required=False)
+                converged = converged or res.status > 0
+                step = np.abs(res.x - prev)
+                if converged and np.all(
+                    step <= 1e-12 * np.maximum(np.abs(res.x), 1e-300)
+                ):
+                    break
+            if not converged:
+                raise FitFailureError(
+                    "mixture fit did not converge within the iteration cap",
+                    residual_norm=float(np.linalg.norm(res.fun)),
+                )
+        else:
+            res = solve(p0, np.ones_like(y))
 
     params = res.x.copy()
     # sign of sigma is unidentifiable; canonicalize
     params[2::3] = np.abs(params[2::3])
     params[0::3] = np.abs(params[0::3])
+
+    order = np.argsort(params[1::3])
+    perm = np.concatenate([[3 * k, 3 * k + 1, 3 * k + 2] for k in order])
+    # before the covariance: a runaway's Jacobian is not finite
+    _reject_degenerate(params[perm], hist)
 
     jtj = res.jac.T @ res.jac
     # Empty bins carry no information; keeping them in the dof would dilute
@@ -328,11 +338,8 @@ def fit_mixture(
     s2 = 2.0 * res.cost / dof
     cov = np.linalg.pinv(jtj) * s2
 
-    order = np.argsort(params[1::3])
-    perm = np.concatenate([[3 * k, 3 * k + 1, 3 * k + 2] for k in order])
     params = params[perm]
     cov = cov[np.ix_(perm, perm)]
-    _reject_degenerate(params, hist)
 
     sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     peaks = tuple(
@@ -351,13 +358,16 @@ def fit_mixture(
 
 
 def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:
-    """Raise FitFailureError for a peak narrower than one bin or centred
-    outside the histogram: such a component is a spike on a noise bin or a
-    runaway, not a photon-number peak."""
+    """Raise FitFailureError for a peak that is not finite, narrower than
+    one bin or centred outside the histogram: such a component is a spike
+    on a noise bin or a runaway, not a photon-number peak."""
     lo, hi = hist.bin_edges[0], hist.bin_edges[-1]
     width = hist.bin_width
-    for k, (_, center, sigma) in enumerate(params.reshape(-1, 3)):
-        if not sigma >= width:
+    for k, peak in enumerate(params.reshape(-1, 3)):
+        _, center, sigma = peak
+        if not np.isfinite(peak).all():
+            problem = "not finite"
+        elif not sigma >= width:
             problem = f"narrower than one bin ({width:.6g})"
         elif not lo <= center <= hi:
             problem = f"centred outside the histogram [{lo:.6g}, {hi:.6g}]"
@@ -467,14 +477,27 @@ def save_histogram_csv(hist: AmplitudeHistogram, path) -> None:
 
 
 def load_histogram_csv(path) -> AmplitudeHistogram:
-    """Read a `bin_center,count` CSV; spacing must be uniform."""
+    """Read a `bin_center,count` CSV; spacing must be uniform.
+
+    A row that is not two numbers raises DomainError naming the file and
+    its line.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["bin_center", "count"]:
             raise DomainError(f"{path}: expected header 'bin_center,count'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for r in reader:
+            try:
+                if r:
+                    rows.append((float(r[0]), float(r[1])))
+            except (ValueError, IndexError):
+                raise DomainError(
+                    f"{path}: line {reader.line_num}: expected two numbers, "
+                    f"got {','.join(r)!r}"
+                ) from None
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two bins")
     centers = np.array([r[0] for r in rows])

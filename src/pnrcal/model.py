@@ -220,6 +220,9 @@ def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     gamma_0 = (B(0) - P(0)) / (xi * B(0)),
     gamma_i = (P(i) - B(i)) / (xi * (B(i-1) - B(i))) for 1 <= i < k, and
     gamma_K = (B(0) - P(0)) / xi, the click/no-click contraction.
+    Since P(0) = B(0) (1 - xi gamma), gamma_K estimates gamma B(0), not
+    gamma: it is biased by -gamma (1 - B(0)), about -0.3 % of gamma at the
+    published background (B(0) = 0.997).
     Returns the values [gamma_0 .. gamma_{k-1}, gamma_K] and their
     (k+1) x (2k+1) Jacobian over (C_on, C_off, xi), the order of
     `uncertainty.counting_inputs`.  An estimate whose denominator vanishes
@@ -301,7 +304,8 @@ def klyshko_estimate(
 ) -> EfficiencyEstimate:
     """Click/no-click contraction gamma_K of `gamma_estimates`: the excess
     click probability in heralded gates, [(1 - P(0)) - (1 - B(0))], divided
-    by the herald purity.
+    by the herald purity.  It estimates gamma B(0), so it is biased by
+    -gamma (1 - B(0)).
     """
     if xi.xi <= 0:
         raise DomainError("xi must be > 0")

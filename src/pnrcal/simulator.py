@@ -13,10 +13,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln, ndtr, pdtrc, xlogy
 
 from . import histogram as hg
 from . import uncertainty as unc
@@ -129,14 +131,18 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def simulate_run(config: ExperimentConfig) -> RawRun:
-    """Generate one full ON/OFF measurement, deterministic given the seed."""
+def _refuse_pileup(config: ExperimentConfig) -> None:
     report = check_pileup(config)
     if not report.passes:
         raise ConfigError(
             f"pile-up check failed: rep_period_us={report.rep_period_us} "
             f"< detector_recovery_us={report.detector_recovery_us}"
         )
+
+
+def simulate_run(config: ExperimentConfig) -> RawRun:
+    """Generate one full ON/OFF measurement, deterministic given the seed."""
+    _refuse_pileup(config)
     rng_herald, rng_bg_on, rng_bg_off, rng_det, rng_amp_on, rng_amp_off = _streams(
         config.seed, 6
     )
@@ -172,6 +178,112 @@ def simulate_run(config: ExperimentConfig) -> RawRun:
         off_counts_by_n=tuple(np.bincount(photons_off, minlength=k + 1).tolist()),
     )
     return RawRun(on_amplitudes, off_amplitudes, tallies)
+
+
+def _poisson_tally(rng: np.random.Generator, n_gates: int, mean: float) -> np.ndarray:
+    """Gate counts by photon number for n_gates gates of Poisson(mean) photons.
+
+    The count at n = 0, 1, ... is a binomial draw over the gates left, with
+    the probability of n photons given at least n, until no gate is left:
+    exact, with no truncated tail.  The last entry is nonzero.
+    """
+    tally = []
+    left, n = n_gates, 0
+    while left > 0:
+        at_least_n = pdtrc(n - 1, mean) if n else 1.0
+        pmf = math.exp(xlogy(n, mean) - mean - gammaln(n + 1))
+        p = min(pmf / at_least_n, 1.0) if at_least_n > 0 else 1.0
+        drawn = int(rng.binomial(left, p))
+        tally.append(drawn)
+        left -= drawn
+        n += 1
+    return np.array(tally, dtype=np.int64)
+
+
+def _draw_histogram(
+    rng: np.random.Generator,
+    counts_by_n: np.ndarray,
+    config: ExperimentConfig,
+    edges: np.ndarray,
+) -> hg.AmplitudeHistogram:
+    """Bin the amplitudes of counts_by_n gates without drawing them: one
+    multinomial per photon number over [underflow, bins, overflow], with
+    Gaussian-CDF differences at the edges as the cell probabilities."""
+    n = np.flatnonzero(counts_by_n)
+    cdf = ndtr(
+        (edges - config.peak_center(n)[:, None]) / config.peak_width(n)[:, None]
+    )
+    cells = np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+    drawn = rng.multinomial(counts_by_n[n], cells).sum(axis=0)
+    if not drawn[1:-1].any():
+        raise DomainError("no samples inside the requested range")
+    return hg.AmplitudeHistogram(
+        edges,
+        drawn[1:-1].astype(float),
+        n_underflow=int(drawn[0]),
+        n_overflow=int(drawn[-1]),
+    )
+
+
+def simulate_histograms(
+    config: ExperimentConfig,
+    n_bins: int,
+    amp_range: tuple[float, float],
+) -> tuple[hg.AmplitudeHistogram, hg.AmplitudeHistogram, RunTallies]:
+    """The ON and OFF histograms of one run, drawn without per-pulse amplitudes.
+
+    The model is that of `simulate_run`, drawn at tally level: heralds,
+    true heralds and detections as binomials, the gates per photon number
+    as Poisson tallies, and the bin counts as multinomials over the bins
+    of `np.linspace(lo, hi, n_bins + 1)` plus under- and overflow.  The
+    result equals in distribution `build_histogram` applied to the
+    `simulate_run` amplitudes (not draw for draw) and costs O(K * bins)
+    instead of O(pulses).  Deterministic given the seed.  Returns
+    (on, off, tallies).
+    """
+    _refuse_pileup(config)
+    if n_bins < 2:
+        raise DomainError("need at least 2 bins")
+    lo, hi = float(amp_range[0]), float(amp_range[1])
+    if hi <= lo:
+        raise DomainError("range upper bound must exceed lower bound")
+    rng_herald, rng_bg_on, rng_bg_off, rng_det, rng_amp_on, rng_amp_off = _streams(
+        config.seed, 6
+    )
+    mean = config.background_mean
+
+    n_her = int(rng_herald.binomial(config.n_pulses, config.herald_prob))
+    n_true = int(rng_det.binomial(n_her, config.xi_true))
+    n_det = int(rng_det.binomial(n_true, config.gamma_true))
+    # a detected herald adds its photon to the gate's background
+    bg_det = _poisson_tally(rng_bg_on, n_det, mean)
+    bg_rest = _poisson_tally(rng_bg_on, n_her - n_det, mean)
+    # each heralded gate is paired with the next non-heralded gate
+    bg_off = _poisson_tally(rng_bg_off, min(n_her, config.n_pulses - n_her), mean)
+
+    k = max(bg_det.size + 1, bg_rest.size, bg_off.size)
+    on = np.zeros(k, dtype=np.int64)
+    on[: bg_rest.size] += bg_rest
+    on[1 : bg_det.size + 1] += bg_det
+    off = np.zeros(k, dtype=np.int64)
+    off[: bg_off.size] = bg_off
+
+    edges = np.linspace(lo, hi, n_bins + 1)
+    photons = np.arange(k)
+    tallies = RunTallies(
+        true_heralds=n_true,
+        false_heralds=n_her - n_true,
+        heralded_detections=n_det,
+        on_background_photons=int(photons @ on) - n_det,
+        off_background_photons=int(photons @ off),
+        on_counts_by_n=tuple(on.tolist()),
+        off_counts_by_n=tuple(off.tolist()),
+    )
+    return (
+        _draw_histogram(rng_amp_on, on, config, edges),
+        _draw_histogram(rng_amp_off, off, config, edges),
+        tallies,
+    )
 
 
 def dark_rate_for_purity(config: ExperimentConfig) -> float:
@@ -227,12 +339,12 @@ class ClosureReport:
 
 def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     """One seed of the full pipeline: simulate, fit, extract, estimate."""
-    run = simulate_run(config)
     lo = min(config.peak_centers) - 6.0 * max(config.peak_widths)
     hi = (
         float(config.peak_center(np.array([max_index]))[0])
         + 6.0 * max(config.peak_widths)
     )
+    on_hist, off_hist, _ = simulate_histograms(config, n_bins, (lo, hi))
     n_peaks = max_index + 1
     init_centers = config.peak_center(np.arange(n_peaks)).astype(float)
     init_widths = config.peak_width(np.arange(n_peaks)).astype(float)
@@ -240,8 +352,7 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     stats = simulate_herald_stats(config, dark_rate_for_purity(config))
     xi = estimate_xi(stats)
     counts = {}
-    for tag, amplitudes in (("on", run.on_amplitudes), ("off", run.off_amplitudes)):
-        hist = hg.build_histogram(amplitudes, n_bins, (lo, hi))
+    for tag, hist in (("on", on_hist), ("off", off_hist)):
         init = [
             hg.GaussianPeak(
                 amplitude=max(
@@ -366,9 +477,32 @@ def save_run(run: RawRun, config: ExperimentConfig, out_dir) -> None:
 
 
 def load_amplitudes(path) -> np.ndarray:
-    """Read a single-column `amplitude` CSV."""
+    """Read a single-column `amplitude` CSV; blank lines are skipped.
+
+    A value that is not a number raises DomainError naming the file and
+    its line.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "amplitude":
+        if fh.readline().strip() != "amplitude":
             raise DomainError(f"{path}: expected header 'amplitude'")
-        return np.array([float(line) for line in fh if line.strip()])
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is an empty sample; callers reject it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, skiprows=1, comments=None, ndmin=2)
+    except ValueError as exc:
+        # name the line: the C parser counts non-blank rows only
+        with open(path) as fh:
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    if line_no > 1 and line.strip():
+                        float(line)
+                except ValueError:
+                    raise DomainError(
+                        f"{path}: line {line_no}: expected one number, "
+                        f"got {line.strip()!r}"
+                    ) from None
+        raise DomainError(f"{path}: {exc}") from None
+    if values.shape[1] != 1:
+        raise DomainError(f"{path}: expected one column, got {values.shape[1]}")
+    return values.reshape(-1)

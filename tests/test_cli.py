@@ -93,7 +93,10 @@ class TestFit:
         assert doc["quality"]["ratio"] < 1e-2
 
     def test_missing_file_exit_2(self, tmp_path):
-        assert main(["fit", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
+        # a missing file, then a row that is not two numbers
+        malformed = write(tmp_path, "bad.csv", "bin_center,count\n0.0,1\n0.5,x\n")
+        for path in (str(tmp_path / "nope.csv"), malformed):
+            assert main(["fit", path]) == EXIT_CONFIG
 
     def test_impossible_peaks_exit_3(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -217,15 +220,20 @@ class TestCalibrateEndToEnd:
         assert abs(g0["fraction"] - 0.3) < 4 * g0["u_fraction"]
         assert doc["fit_quality"]["on"]["ratio"] < 1e-2
 
-    def test_missing_input_file_exit_2(self, tmp_path):
-        cal = write(
-            tmp_path,
-            "cal.ini",
-            "[herald]\nxi = 0.95\n\n[inputs]\n"
-            f"on_amplitudes = {tmp_path / 'missing.csv'}\n"
-            f"off_amplitudes = {tmp_path / 'missing.csv'}\n",
-        )
-        assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    def test_missing_input_file_exit_2(self, tmp_path, capsys):
+        # a missing file, then a file holding a value that is not a number
+        malformed = write(tmp_path, "on.csv", "amplitude\n0.1\nabc\n")
+        for on_csv in (tmp_path / "missing.csv", malformed):
+            cal = write(
+                tmp_path,
+                "cal.ini",
+                "[herald]\nxi = 0.95\n\n[inputs]\n"
+                f"on_amplitudes = {on_csv}\n"
+                f"off_amplitudes = {on_csv}\n",
+            )
+            code = main(["calibrate", cal, "--out", str(tmp_path / "rep")])
+            assert code == EXIT_CONFIG
+            assert "error=config" in capsys.readouterr().err
 
 
 class TestBudget:

@@ -268,6 +268,24 @@ class TestRobustPeakCounts:
             assert cv.counts[used:].tolist() == [0.0] * (3 - used)
             assert cv.uncertainties[used:].tolist() == [0.0] * (3 - used)
 
+    def test_runaway_component_dropped(self):
+        # no n=2 events: the third component runs off to ~1e154, which
+        # must be rejected as degenerate, not crash the covariance
+        edges = np.linspace(-0.48, 2.48, 201)
+        expected = sum(
+            n * np.diff(norm.cdf(edges, loc=c, scale=0.08))
+            for n, c in ((1095794, 0.0), (3164, 1.0))
+        )
+        counts = np.random.default_rng(261).poisson(expected).astype(float)
+        h = AmplitudeHistogram(edges, counts)
+        init = [
+            GaussianPeak(max(h.counts[int((c - edges[0]) / h.bin_width)], 1.0), c, 0.08)
+            for c in (0.0, 1.0, 2.0)
+        ]
+        cv, fit, used = robust_peak_counts(h, n_peaks=3, init=init)
+        assert used == 2
+        assert cv.counts[2] == 0.0
+
     def test_healthy_fit_untouched(self):
         h = noisy_two_peak()
         cv, fit, used = robust_peak_counts(h, n_peaks=2)
@@ -287,6 +305,10 @@ class TestCsvRoundTrip:
 
     def test_non_uniform_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("bin_center,count\n0.0,1\n1.0,2\n3.0,1\n")
-        with pytest.raises(DomainError):
-            load_histogram_csv(path)
+        for text in (
+            "bin_center,count\n0.0,1\n1.0,2\n3.0,1\n",
+            "bin_center,count\n0.0,1\n1.0,abc\n2.0,1\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(DomainError):
+                load_histogram_csv(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare, poisson
+from scipy.stats import chi2_contingency, chisquare, poisson
 
 from pnrcal.errors import ConfigError, DomainError
 from pnrcal.simulator import (
@@ -18,8 +18,10 @@ from pnrcal.simulator import (
     load_amplitudes,
     save_run,
     simulate_herald_stats,
+    simulate_histograms,
     simulate_run,
 )
+from pnrcal.histogram import build_histogram
 from pnrcal.model import forward_distribution, PhotonNumberDistribution, estimate_xi
 
 
@@ -78,6 +80,8 @@ class TestPileup:
     def test_simulate_refuses_pileup(self):
         with pytest.raises(ConfigError):
             simulate_run(make_config(rep_period_us=5.0))
+        with pytest.raises(ConfigError):
+            simulate_histograms(make_config(rep_period_us=5.0), 120, (-0.5, 3.5))
 
 
 class TestSimulateRun:
@@ -157,6 +161,99 @@ class TestSimulateRun:
         assert p_value > 1e-3
 
 
+def two_sample_p(a, b):
+    """p-value of a two-sample chi-square test on two count vectors, over
+    the cells where every expected count is at least 5."""
+    table = np.array([a, b], dtype=float)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    keep = expected.min(axis=0) >= 5.0
+    return chi2_contingency(table[:, keep], correction=False).pvalue
+
+
+class TestSimulateHistograms:
+    # four populated peaks; the range cuts into the n=0 and n=3 peaks so
+    # under- and overflow are populated too
+    CONFIG = dict(gamma_true=0.3, background_mean=0.3, herald_prob=0.8,
+                  n_pulses=40_000)
+    N_BINS, RANGE = 120, (-0.2, 3.2)
+
+    def pooled(self, draw, seeds):
+        """Per side: summed bin counts, gates by photon number (padded to
+        10) and [underflow, inside, overflow]."""
+        sums = {}
+        for seed in seeds:
+            on, off, t = draw(make_config(seed=seed, **self.CONFIG))
+            for tag, hist, by_n in (("on", on, t.on_counts_by_n),
+                                    ("off", off, t.off_counts_by_n)):
+                parts = {
+                    (tag, "bins"): hist.counts,
+                    (tag, "by_n"): np.pad(by_n, (0, 10 - len(by_n))),
+                    (tag, "flow"): np.array(
+                        [hist.n_underflow, hist.total, hist.n_overflow]
+                    ),
+                }
+                for key, vec in parts.items():
+                    sums[key] = sums.get(key, 0) + vec
+        return sums
+
+    def test_matches_per_pulse_path(self):
+        def per_pulse(cfg):
+            run = simulate_run(cfg)
+            return (
+                build_histogram(run.on_amplitudes, self.N_BINS, self.RANGE),
+                build_histogram(run.off_amplitudes, self.N_BINS, self.RANGE),
+                run.tallies,
+            )
+
+        def binned(cfg):
+            return simulate_histograms(cfg, self.N_BINS, self.RANGE)
+
+        a = self.pooled(per_pulse, range(100))
+        b = self.pooled(binned, range(1000, 1100))
+        assert len(a) == 6
+        for key in a:
+            p = two_sample_p(a[key], b[key])
+            assert p > 1e-3, (key, p)
+        # the chi-square tests see proportions only; the gate totals differ
+        # by the binomial spread of the herald count
+        cfg = make_config(**self.CONFIG)
+        spread = math.sqrt(2 * 100 * cfg.n_pulses * 0.8 * 0.2)
+        for tag in ("on", "off"):
+            diff = a[tag, "flow"].sum() - b[tag, "flow"].sum()
+            assert abs(diff) < 5 * spread, (tag, diff, spread)
+
+    def test_deterministic(self):
+        cfg = make_config(**self.CONFIG)
+        first = simulate_histograms(cfg, self.N_BINS, self.RANGE)
+        second = simulate_histograms(cfg, self.N_BINS, self.RANGE)
+        for h1, h2 in zip(first[:2], second[:2]):
+            assert np.array_equal(h1.counts, h2.counts)
+            assert (h1.n_underflow, h1.n_overflow) == (h2.n_underflow, h2.n_overflow)
+        assert first[2] == second[2]
+        other = simulate_histograms(make_config(seed=124, **self.CONFIG),
+                                    self.N_BINS, self.RANGE)
+        assert not np.array_equal(first[0].counts, other[0].counts)
+
+    def test_tally_conservation(self):
+        on, off, t = simulate_histograms(make_config(**self.CONFIG),
+                                         self.N_BINS, self.RANGE)
+        assert np.array_equal(on.bin_edges, np.linspace(*self.RANGE, self.N_BINS + 1))
+        n_her = t.true_heralds + t.false_heralds
+        assert on.total + on.n_underflow + on.n_overflow == sum(t.on_counts_by_n) == n_her
+        assert off.total + off.n_underflow + off.n_overflow == sum(t.off_counts_by_n)
+        assert on.n_underflow > 0 and on.n_overflow > 0
+        assert len(t.on_counts_by_n) == len(t.off_counts_by_n)
+        assert t.on_counts_by_n[-1] + t.off_counts_by_n[-1] > 0
+        total_on_photons = sum(n * c for n, c in enumerate(t.on_counts_by_n))
+        assert total_on_photons == t.on_background_photons + t.heralded_detections
+        total_off_photons = sum(n * c for n, c in enumerate(t.off_counts_by_n))
+        assert total_off_photons == t.off_background_photons
+
+    def test_nothing_in_range_raises(self):
+        with pytest.raises(DomainError):
+            simulate_histograms(make_config(**self.CONFIG), self.N_BINS, (10.0, 11.0))
+
+
 class TestHeraldStats:
     def test_dark_rate_inversion(self):
         cfg = make_config(xi_true=0.98794, herald_prob=0.5)
@@ -200,6 +297,32 @@ class TestClosure:
         assert g0.n_success == 3
         assert abs(g0.bias) < 5 * g0.mean_claimed_u
 
+    def test_paper_scale_500_seeds(self):
+        # the ACCEPTANCE 8 experiment and seed, ten times the seeds
+        cfg = ExperimentConfig(
+            gamma_true=0.00709,
+            xi_true=0.98794,
+            herald_prob=0.5,
+            background_mean=0.00286,
+            peak_centers=(0.0, 1.0, 2.0, 3.0),
+            peak_widths=(0.08, 0.08, 0.08, 0.08),
+            n_pulses=2_200_000,
+            seed=42,
+        )
+        report = closure_test(cfg, n_seeds=500, n_bins=200, max_index=2, jobs=2)
+        assert report.n_completed == 500, report.failures[:3]
+        for name in ("gamma0", "gamma1"):
+            e = report.estimator(name)
+            se = e.spread / math.sqrt(e.n_success)
+            assert abs(e.bias) <= 3.0 * se, (name, e.bias, se)
+            assert 0.75 <= e.pull_variance <= 1.25, (name, e.pull_variance)
+        # gamma_K estimates gamma * B(0), not gamma
+        k = report.estimator("gammaK")
+        expected_bias = -cfg.gamma_true * -math.expm1(-cfg.background_mean)
+        se = k.spread / math.sqrt(k.n_success)
+        assert abs(k.bias - expected_bias) <= 3.0 * se, (k.bias, expected_bias, se)
+        # gamma2 is left out: its claimed u is known to be miscalibrated
+
     def test_requires_two_seeds(self):
         with pytest.raises(DomainError):
             closure_test(make_config(), n_seeds=1)
@@ -236,6 +359,7 @@ class TestPersistence:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("volts\n0.1\n")
-        with pytest.raises(DomainError):
-            load_amplitudes(path)
+        for text in ("volts\n0.1\n", "amplitude\n0.1\n\nabc\n"):
+            path.write_text(text)
+            with pytest.raises(DomainError):
+                load_amplitudes(path)
