@@ -2,7 +2,6 @@
 
 from .model import (
     CountVector,
-    EfficiencyDecomposition,
     EfficiencyEstimate,
     HeraldPurity,
     HeraldStats,

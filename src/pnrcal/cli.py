@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_UNINFORMATIVE = 4
+# largest fit chi2/TSS ratio `calibrate` accepts (ACCEPTANCE 7b); good fits sit near 1e-8
+MAX_QUALITY_RATIO = 1e-4
 
 
 def _fail(code: int, **kv) -> int:
@@ -123,21 +125,17 @@ def _amplitude_path(sec, tag: str) -> tuple[str, Path]:
     return ("amplitudes" if key == amp_key else "histogram", path)
 
 
-def _fit_counts(kind: str, path: Path, n_bins: int, n_peaks: int):
+def _fit_counts(side: str, kind: str, path: Path, n_bins: int, n_peaks: int):
     if kind == "amplitudes":
         samples = sim.load_amplitudes(path)
         hist = hg.build_histogram(samples, n_bins)
     else:
         hist = hg.load_histogram_csv(path)
     counts, fit, peaks_used = hg.robust_peak_counts(hist, n_peaks)
-    quality = fit.quality
-    return counts, {
-        "reduced_chi_square": quality.reduced_chi_square,
-        "reduced_total_sum_of_squares": quality.reduced_total_sum_of_squares,
-        "ratio": quality.ratio,
-        "degrees_of_freedom": quality.degrees_of_freedom,
-        "peaks_used": peaks_used,
-    }
+    ratio = fit.quality.ratio
+    if not ratio <= MAX_QUALITY_RATIO:
+        raise FitFailureError(f"{side} fit quality ratio {ratio:.3g} > {MAX_QUALITY_RATIO:g}")
+    return counts, {**dataclasses.asdict(fit.quality), "peaks_used": peaks_used}
 
 
 def _run_calibration(args) -> reports.CalibrationResult:
@@ -161,8 +159,8 @@ def _run_calibration(args) -> reports.CalibrationResult:
         sec = parser["inputs"]
         on_kind, on_path = _amplitude_path(sec, "on")
         off_kind, off_path = _amplitude_path(sec, "off")
-        on, q_on = _fit_counts(on_kind, on_path, n_bins, n_peaks)
-        off, q_off = _fit_counts(off_kind, off_path, n_bins, n_peaks)
+        on, q_on = _fit_counts("on", on_kind, on_path, n_bins, n_peaks)
+        off, q_off = _fit_counts("off", off_kind, off_path, n_bins, n_peaks)
         fit_quality = {"on": q_on, "off": q_off}
 
     covariance = None
@@ -214,12 +212,7 @@ def cmd_fit(args) -> int:
         ],
         "counts": counts.counts.tolist(),
         "count_uncertainties": counts.uncertainties.tolist(),
-        "quality": {
-            "reduced_chi_square": fit.quality.reduced_chi_square,
-            "reduced_total_sum_of_squares": fit.quality.reduced_total_sum_of_squares,
-            "ratio": fit.quality.ratio,
-            "degrees_of_freedom": fit.quality.degrees_of_freedom,
-        },
+        "quality": dataclasses.asdict(fit.quality),
     }
     out = reports.ensure_dir(args.out)
     reports.write_json(document, out / "fit.json")

@@ -18,6 +18,7 @@ in percent happens only in the report layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,25 +147,6 @@ class EfficiencyEstimate:
         return OUT_OF_RANGE not in self.flags
 
 
-@dataclass(frozen=True)
-class EfficiencyDecomposition:
-    """Split of the total efficiency into path transmittance and detector QE.
-
-    Carried as an annotation only; no measurement of tau is implemented.
-    """
-
-    tau: float
-    eta: float
-
-    def __post_init__(self):
-        if not (0 <= self.tau <= 1 and 0 <= self.eta <= 1):
-            raise DomainError("tau and eta must lie in [0, 1]")
-
-    @property
-    def gamma(self) -> float:
-        return self.tau * self.eta
-
-
 def forward_distribution(
     gamma: float, xi: float, background: PhotonNumberDistribution
 ) -> PhotonNumberDistribution:
@@ -213,6 +195,23 @@ def estimate_names(k: int) -> list[str]:
     return [f"gamma{i}" for i in range(k)] + ["gammaK"]
 
 
+@functools.lru_cache(maxsize=16)
+def _selection(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant matrices of the core for k bins: numerator = (P - B) @ sign.T,
+    denominator = B @ diff.T (plus 1 for gamma_K)."""
+    i = np.arange(1, k)
+    sign = np.zeros((k + 1, k))
+    sign[0, 0] = sign[k, 0] = -1.0
+    sign[i, i] = 1.0
+    diff = np.zeros((k + 1, k))
+    diff[0, 0] = 1.0
+    diff[i, i - 1] = 1.0
+    diff[i, i] = -1.0
+    sign.setflags(write=False)
+    diff.setflags(write=False)
+    return sign, diff
+
+
 def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     """Every closed-form estimate and its Jacobian, from raw counts.
 
@@ -225,39 +224,36 @@ def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     published background (B(0) = 0.997).
     Returns the values [gamma_0 .. gamma_{k-1}, gamma_K] and their
     (k+1) x (2k+1) Jacobian over (C_on, C_off, xi), the order of
-    `uncertainty.counting_inputs`.  An estimate whose denominator vanishes
-    comes back non-finite, without a warning; callers decide what an
-    undefined bin means.
+    `uncertainty.counting_inputs`.  Any leading batch axes broadcast:
+    `c_on` and `c_off` of shape (..., k) and `xi` of shape (...) give
+    values of shape (..., k+1) and a Jacobian of shape (..., k+1, 2k+1),
+    each point evaluated exactly as it would be on its own.  An estimate
+    whose denominator vanishes comes back non-finite, without a warning;
+    callers decide what an undefined bin means.
     """
     c_on = np.asarray(c_on, dtype=float)
     c_off = np.asarray(c_off, dtype=float)
-    k = c_on.size
-    i = np.arange(1, k)
-    # numerator = sign @ (P - B); denominator = diff @ B, plus 1 for gamma_K
-    sign = np.zeros((k + 1, k))
-    sign[0, 0] = sign[k, 0] = -1.0
-    sign[i, i] = 1.0
-    diff = np.zeros((k + 1, k))
-    diff[0, 0] = 1.0
-    diff[i, i - 1] = 1.0
-    diff[i, i] = -1.0
+    xi = np.asarray(xi, dtype=float)[..., None]
+    k = c_on.shape[-1]
+    sign, diff = _selection(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s, t = c_on.sum(), c_off.sum()
+        s = c_on.sum(axis=-1, keepdims=True)
+        t = c_off.sum(axis=-1, keepdims=True)
         p, b = c_on / s, c_off / t
-        den = diff @ b
-        den[k] = 1.0
-        values = (sign @ (p - b)) / (xi * den)
+        den = b @ diff.T
+        den[..., k] = 1.0
+        values = ((p - b) @ sign.T) / (xi * den)
         # d gamma / d numerator = 1 / (xi den); d gamma / d den = -gamma / den
-        d_p = (1.0 / (xi * den))[:, None] * sign
-        d_b = -d_p - (values / den)[:, None] * diff
+        d_p = (1.0 / (xi * den))[..., None] * sign
+        d_b = -d_p - (values / den)[..., None] * diff
         # dP_a/dC_j = (delta_aj - P_a) / S, and the same for B over T
         jac = np.concatenate(
             [
-                (d_p - (d_p @ p)[:, None]) / s,
-                (d_b - (d_b @ b)[:, None]) / t,
-                (-values / xi)[:, None],
+                (d_p - d_p @ p[..., None]) / s[..., None],
+                (d_b - d_b @ b[..., None]) / t[..., None],
+                (-values / xi)[..., None],
             ],
-            axis=1,
+            axis=-1,
         )
     return values, jac
 

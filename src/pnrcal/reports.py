@@ -66,11 +66,7 @@ def calibrate_counts(
     A photon number with no counts on either side, or whose estimate is
     undefined, raises UninformativeBinError naming it.
     """
-    inputs = unc.counting_inputs(on, off, xi)
-    if covariance is not None:
-        inputs = unc.InputVector(
-            inputs.names, inputs.values, inputs.uncertainties, covariance
-        )
+    inputs = unc.counting_inputs(on, off, xi, covariance)
     if on.total <= 0 or off.total <= 0:
         raise DomainError("total count must be > 0")
     if xi.xi <= 0:
@@ -82,7 +78,7 @@ def calibrate_counts(
             f"photon number {empty[0]} has no counts on either side"
         )
     core = unc.CountingEstimators()
-    values = core(inputs)
+    values = core(inputs.values)
     require_defined(values, range(k))
     jac = unc.jacobian(core, inputs)
 
@@ -174,27 +170,28 @@ def budget_table_csv(result: CalibrationResult, path) -> None:
 
 def load_covariance_csv(path, names: tuple[str, ...]) -> np.ndarray:
     """Covariance matrix CSV: header row of quantity names, one row per
-    quantity with its name in the first column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise DomainError(f"{path}: empty covariance file")
-        cols = [h.strip() for h in header[1:]]
-        rows = {}
-        for row in reader:
-            if row:
-                rows[row[0].strip()] = [float(v) for v in row[1:]]
-    if set(cols) != set(names) or set(rows) != set(names):
+    quantity with its name in the first column.  A file that cannot be
+    read, holds a value that is not a number, or does not name each of
+    `names` once per row and column raises DomainError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            lines = [r for r in csv.reader(fh) if r]
+        rows = {r[0].strip(): [float(v) for v in r[1:]] for r in lines[1:]}
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read covariance file: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed covariance file: {exc}") from None
+    cols = [h.strip() for h in lines[0][1:]] if lines else []
+    if (
+        set(cols) != set(names)
+        or set(rows) != set(names)
+        or any(len(r) != len(cols) for r in rows.values())
+    ):
         raise DomainError(
             f"{path}: covariance quantities must match {list(names)}"
         )
-    n = len(names)
-    cov = np.zeros((n, n))
-    for a, na in enumerate(names):
-        for b, nb in enumerate(names):
-            cov[a, b] = rows[na][cols.index(nb)]
-    return cov
+    order = [cols.index(n) for n in names]
+    return np.array([rows[n] for n in names])[:, order]
 
 
 def closure_report_json(report) -> dict:

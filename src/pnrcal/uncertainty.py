@@ -7,6 +7,12 @@ their uncertainties (and optionally a full covariance), chains them into
 the estimator core `model.gamma_estimates` (all estimates and their
 analytic Jacobian), cross-checks that Jacobian against central finite
 differences, and turns gradients into per-input contribution budgets.
+
+An estimator is called on input values, not on an `InputVector`: `f(q)`
+and `f.gradient(q)` take q of shape (..., n), with any leading batch axes,
+in the order of the `InputVector` it is checked on.  The cross-check
+stacks the centre and all 2n perturbed points into one (2n+1, n) batch
+and evaluates the estimator once on it.
 """
 
 from __future__ import annotations
@@ -70,9 +76,6 @@ class InputVector:
     def size(self) -> int:
         return self.values.size
 
-    def replace_values(self, values: np.ndarray) -> "InputVector":
-        return InputVector(self.names, values, self.uncertainties, None)
-
 
 @dataclass(frozen=True)
 class UncertaintyBudget:
@@ -88,43 +91,45 @@ class UncertaintyBudget:
 
 
 def counting_inputs(
-    on: CountVector, off: CountVector, xi: HeraldPurity
+    on: CountVector,
+    off: CountVector,
+    xi: HeraldPurity,
+    covariance: np.ndarray | None = None,
 ) -> InputVector:
-    """Pack ON counts, OFF counts and the herald purity into one vector."""
+    """Pack ON counts, OFF counts and the herald purity into one vector,
+    with an optional full covariance in the same order."""
     if on.counts.size != off.counts.size:
         raise DomainError("ON and OFF count vectors must share length")
     k = on.counts.size
-    names = (
-        [f"C_on_{i}" for i in range(k)]
-        + [f"C_off_{i}" for i in range(k)]
-        + ["xi"]
-    )
+    names = [f"C_on_{i}" for i in range(k)] + [f"C_off_{i}" for i in range(k)] + ["xi"]
     values = np.concatenate([on.counts, off.counts, [xi.xi]])
     u = np.concatenate([on.uncertainties, off.uncertainties, [xi.u_xi]])
-    return InputVector(tuple(names), values, u)
+    return InputVector(tuple(names), values, u, covariance)
 
 
 class CountingEstimators:
     """Every estimate of `model.gamma_estimates` as one vector-valued
-    estimator of a `counting_inputs` vector: the values
-    [gamma_0 .. gamma_{k-1}, gamma_K] and their Jacobian."""
+    estimator of `counting_inputs` values: [gamma_0 .. gamma_{k-1},
+    gamma_K] and their Jacobian, over any leading batch axes."""
 
     row = slice(None)
 
-    def _select(self, rows: np.ndarray) -> np.ndarray:
-        return rows[self.row]
-
-    def _evaluate(self, iv: InputVector) -> tuple[np.ndarray, np.ndarray]:
-        if iv.size % 2 != 1 or iv.size < 3:
+    def _evaluate(self, q) -> tuple[np.ndarray, np.ndarray]:
+        q = np.asarray(q, dtype=float)
+        n = q.shape[-1]
+        if n % 2 != 1 or n < 3:
             raise DomainError("expected 2k counts plus xi")
-        k = (iv.size - 1) // 2
-        return gamma_estimates(iv.values[:k], iv.values[k : 2 * k], iv.values[-1])
+        k = (n - 1) // 2
+        if isinstance(self.row, int) and self.row >= k:
+            raise DomainError(f"index {self.row} outside support 0..{k - 1}")
+        values, jac = gamma_estimates(q[..., :k], q[..., k : 2 * k], q[..., -1])
+        return values[..., self.row], jac[..., self.row, :]
 
-    def __call__(self, iv: InputVector):
-        return self._select(self._evaluate(iv)[0])
+    def __call__(self, q) -> np.ndarray:
+        return self._evaluate(q)[0]
 
-    def gradient(self, iv: InputVector) -> np.ndarray:
-        return self._select(self._evaluate(iv)[1])
+    def gradient(self, q) -> np.ndarray:
+        return self._evaluate(q)[1]
 
 
 class GammaEstimator(CountingEstimators):
@@ -136,12 +141,6 @@ class GammaEstimator(CountingEstimators):
         self.row = i
         self.name = f"gamma{i}"
 
-    def _select(self, rows: np.ndarray) -> np.ndarray:
-        k = rows.shape[0] - 1
-        if self.row >= k:
-            raise DomainError(f"index {self.row} outside support 0..{k - 1}")
-        return rows[self.row]
-
 
 class KlyshkoEstimator(CountingEstimators):
     """Click/no-click contraction gamma_K = (B(0) - P(0)) / xi: the last
@@ -151,23 +150,29 @@ class KlyshkoEstimator(CountingEstimators):
     row = -1
 
 
-def finite_difference_gradient(f, at: InputVector) -> np.ndarray:
-    """Central differences with step max(1e-6 |q|, 1e-10) per component.
-
-    A vector-valued estimator gives one row per output component."""
+def _central_differences(f, at: InputVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f at the centre, the central-difference gradient and the steps, from
+    one call of f on the centre stacked over every perturbed point."""
     q = at.values
-    columns = []
-    for j in range(q.size):
-        h = max(FD_REL_STEP * abs(q[j]), FD_MIN_STEP)
-        qp, qm = q.copy(), q.copy()
-        qp[j] += h
-        qm[j] -= h
-        fp = np.asarray(f(at.replace_values(qp)), dtype=float)
-        fm = np.asarray(f(at.replace_values(qm)), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise DomainError(f"estimator undefined at perturbed {at.names[j]}")
-        columns.append((fp - fm) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+    n = q.size
+    steps = np.maximum(FD_REL_STEP * np.abs(q), FD_MIN_STEP)
+    batch = np.tile(q, (2 * n + 1, 1))
+    batch[1 + np.arange(n), np.arange(n)] += steps
+    batch[1 + n + np.arange(n), np.arange(n)] -= steps
+    out = np.moveaxis(np.asarray(f(batch), dtype=float), 0, -1)
+    centre, fp, fm = out[..., 0], out[..., 1 : n + 1], out[..., n + 1 :]
+    undefined = ~(np.isfinite(fp) & np.isfinite(fm)).reshape(-1, n).all(axis=0)
+    if undefined.any():
+        raise DomainError(
+            f"estimator undefined at perturbed {at.names[np.argmax(undefined)]}"
+        )
+    return centre, (fp - fm) / (2.0 * steps), steps
+
+
+def finite_difference_gradient(f, at: InputVector) -> np.ndarray:
+    """Central differences with step max(1e-6 |q|, 1e-10) per component, from
+    one batched call of f; a vector-valued f gives one row per component."""
+    return _central_differences(f, at)[1]
 
 
 def jacobian(f, at: InputVector) -> np.ndarray:
@@ -177,8 +182,8 @@ def jacobian(f, at: InputVector) -> np.ndarray:
     same check row by row."""
     if not hasattr(f, "gradient"):
         raise TypeError("estimator must expose an analytic .gradient")
-    analytic = np.asarray(f.gradient(at), dtype=float)
-    fd = finite_difference_gradient(f, at)
+    analytic = np.asarray(f.gradient(at.values), dtype=float)
+    centre, fd, steps = _central_differences(f, at)
     # Two noise floors limit what central differences can certify: components
     # many decades below the gradient norm sit under the cancellation noise
     # of the fixed relative step, and every difference quotient carries an
@@ -186,8 +191,7 @@ def jacobian(f, at: InputVector) -> np.ndarray:
     scale = np.maximum(
         np.maximum(np.abs(analytic).max(axis=-1), np.abs(fd).max(axis=-1)), 1e-300
     )[..., None]
-    steps = np.maximum(FD_REL_STEP * np.abs(at.values), FD_MIN_STEP)
-    f_scale = np.maximum(1.0, np.abs(np.asarray(f(at), dtype=float)))[..., None]
+    f_scale = np.maximum(1.0, np.abs(centre))[..., None]
     rounding_floor = 16.0 * np.finfo(float).eps * f_scale / steps
     tol = (
         GRADIENT_AGREEMENT_RTOL * np.maximum(np.abs(analytic), np.abs(fd))

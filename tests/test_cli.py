@@ -3,15 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pnrcal.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_OK,
     EXIT_UNINFORMATIVE,
+    MAX_QUALITY_RATIO,
     main,
 )
-from pnrcal.histogram import build_histogram, save_histogram_csv
+from pnrcal.histogram import AmplitudeHistogram, build_histogram, save_histogram_csv
 from pnrcal.reports import strip_timestamps
 
 TABLE_COUNTS = """\
@@ -198,6 +200,24 @@ class TestCalibrateBypass:
         uc = c["estimates"]["gamma0"]["u_fraction"]
         assert uc != pytest.approx(ud, rel=1e-6)
 
+    def test_bad_covariance_file_exit_2(self, tmp_path, capsys):
+        # a missing file, a value that is not a number, a row one value short
+        cfg = write(tmp_path, "cal.ini", TABLE_COUNTS)
+        names = ["C_on_0", "C_on_1", "C_on_2", "C_off_0", "C_off_1", "C_off_2", "xi"]
+        bad = []
+        for cell, width in (("abc", len(names)), ("0.0", len(names) - 1)):
+            rows = [",".join(["quantity"] + names)] + [
+                ",".join([n] + [cell if n == "C_on_1" else "0.0"] * width)
+                for n in names
+            ]
+            bad.append(write(tmp_path, f"cov{width}.csv", "\n".join(rows) + "\n"))
+        for cov in [str(tmp_path / "missing.csv")] + bad:
+            code = main(["calibrate", cfg, "--bypass-fit", "--covariance", cov,
+                         "--out", str(tmp_path / "rep")])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "error=config" in err and cov in err
+
 
 class TestCalibrateEndToEnd:
     def test_simulate_then_calibrate(self, tmp_path, capsys):
@@ -234,6 +254,39 @@ class TestCalibrateEndToEnd:
             code = main(["calibrate", cal, "--out", str(tmp_path / "rep")])
             assert code == EXIT_CONFIG
             assert "error=config" in capsys.readouterr().err
+
+
+class TestFitQualityGate:
+    @staticmethod
+    def histogram_csv(tmp_path, name, events):
+        # expected bin contents of Gaussian peaks (sigma 0.08) at 0, 1, 2
+        edges = np.linspace(-0.5, 2.5, 61)
+        cdf = ndtr((edges - np.arange(3)[:, None]) / 0.08)
+        counts = np.round(np.asarray(events, dtype=float) @ np.diff(cdf, axis=1))
+        path = tmp_path / name
+        save_histogram_csv(AmplitudeHistogram(edges, counts), path)
+        return path
+
+    def test_poor_fit_exit_3(self, tmp_path, capsys):
+        # two fitted peaks describe the ON histogram; the OFF histogram's
+        # third peak is left unfitted, a chi2/TSS ratio of about 8e-4
+        on = self.histogram_csv(tmp_path, "on.csv", [4000, 1000, 0])
+        for off_events, code in (([4000, 1000, 0], EXIT_OK),
+                                 ([4000, 1000, 1000], EXIT_FIT)):
+            off = self.histogram_csv(tmp_path, "off.csv", off_events)
+            cal = write(
+                tmp_path,
+                "cal.ini",
+                "[herald]\nxi = 0.95\n\n[inputs]\n"
+                f"on_histogram = {on}\noff_histogram = {off}\n\n"
+                "[fit]\nn_peaks = 2\n",
+            )
+            assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == code
+            err = capsys.readouterr().err
+            if code == EXIT_FIT:
+                assert "error=fit" in err and "off fit quality ratio" in err
+                ratio = float(err.split("ratio ")[1].split()[0])
+                assert ratio > MAX_QUALITY_RATIO
 
 
 class TestBudget:

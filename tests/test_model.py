@@ -9,7 +9,6 @@ from pnrcal.errors import DomainError, UninformativeBinError
 from pnrcal.model import (
     OUT_OF_RANGE,
     CountVector,
-    EfficiencyDecomposition,
     EfficiencyEstimate,
     HeraldPurity,
     HeraldStats,
@@ -210,6 +209,23 @@ class TestEstimateGamma:
         assert list(np.isfinite(values)) == [False, True, False, True]
         assert np.all(np.isfinite(jac[[1, 3]]))
 
+    def test_core_batch_equals_per_point_calls(self):
+        rng = np.random.default_rng(11)
+        for k in range(2, 6):
+            for shape in ((40,), (3, 5)):
+                c_on = rng.uniform(1.0, 1e6, shape + (k,))
+                c_off = rng.uniform(1.0, 1e6, shape + (k,))
+                xi = rng.uniform(0.5, 1.0, shape)
+                values, jac = gamma_estimates(c_on, c_off, xi)
+                assert values.shape == shape + (k + 1,)
+                assert jac.shape == shape + (k + 1, 2 * k + 1)
+                for idx in np.ndindex(*shape):
+                    v1, j1 = gamma_estimates(c_on[idx], c_off[idx], xi[idx])
+                    assert np.all(np.abs(values[idx] - v1)
+                                  <= 4e-16 * np.abs(v1).max())
+                    row_max = np.abs(j1).max(axis=-1, keepdims=True)
+                    assert np.all(np.abs(jac[idx] - j1) <= 4e-16 * row_max)
+
     @given(
         gamma=st.floats(1e-6, 1.0),
         xi=st.floats(1e-3, 1.0),
@@ -294,9 +310,3 @@ class TestEfficiencyEstimate:
         assert e.gamma == -0.01
         assert OUT_OF_RANGE in e.flags and not e.in_range
         assert EfficiencyEstimate(0.5, 0.1, "gamma0").in_range
-
-    def test_decomposition(self):
-        d = EfficiencyDecomposition(tau=0.10, eta=0.07)
-        assert abs(d.gamma - 0.007) < 1e-15
-        with pytest.raises(DomainError):
-            EfficiencyDecomposition(tau=1.2, eta=0.5)

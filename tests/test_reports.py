@@ -10,7 +10,8 @@ pedestal covariance.
 import numpy as np
 import pytest
 
-from pnrcal.model import CountVector, HeraldPurity
+from pnrcal import uncertainty as unc
+from pnrcal.model import CountVector, HeraldPurity, gamma_estimates
 from pnrcal.reports import calibrate_counts
 
 ON = CountVector(np.array([5.069e6, 5.0200e4, 118.0]), np.array([1.4e4, 200.0, 6.0]))
@@ -101,3 +102,16 @@ def test_published_table_matches_golden(case):
     mean, u = GOLDEN_WEIGHTED_MEAN[case]
     assert result.combined.gamma == pytest.approx(mean, rel=1e-12, abs=0)
     assert result.combined.u_gamma == pytest.approx(u, rel=1e-12, abs=0)
+
+
+def test_estimator_core_called_at_most_three_times(monkeypatch):
+    # values, analytic Jacobian and one batch for the finite differences
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_estimates(*args)
+
+    monkeypatch.setattr(unc, "gamma_estimates", counted)
+    calibrate_counts(ON, OFF, XI)
+    assert len(calls) <= 3

@@ -59,10 +59,10 @@ class LinearFunctional:
     def __init__(self, coeff):
         self.coeff = np.asarray(coeff, dtype=float)
 
-    def __call__(self, iv):
-        return float(self.coeff @ iv.values)
+    def __call__(self, q):
+        return np.asarray(q) @ self.coeff
 
-    def gradient(self, iv):
+    def gradient(self, q):
         return self.coeff.copy()
 
 
@@ -87,7 +87,52 @@ class TestInputVector:
             InputVector(names, v, u, np.array([[0.01, 0.03], [0.03, 0.04]]))
 
 
+def per_column_differences(f, iv):
+    """Reference central differences, one perturbed pair of calls per input."""
+    q = iv.values
+    columns = []
+    for j in range(q.size):
+        h = max(1e-6 * abs(q[j]), 1e-10)
+        qp, qm = q.copy(), q.copy()
+        qp[j] += h
+        qm[j] -= h
+        columns.append((np.asarray(f(qp)) - np.asarray(f(qm))) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
 class TestJacobian:
+    def test_batched_differences_equal_per_column_loop(self):
+        rng = np.random.default_rng(3)
+        points = [table_inputs()]
+        for k in (2, 4, 5):
+            on = rng.uniform(1e5, 1e6) * np.cumprod(rng.uniform(0.05, 0.9, k))
+            off = rng.uniform(1e5, 1e6) * np.cumprod(rng.uniform(0.05, 0.9, k))
+            points.append(counting_inputs(
+                CountVector(on, np.sqrt(on)),
+                CountVector(off, np.sqrt(off)),
+                HeraldPurity(rng.uniform(0.5, 1.0), 1e-4),
+            ))
+        for iv in points:
+            for f in (CountingEstimators(), GammaEstimator(1), KlyshkoEstimator()):
+                assert np.array_equal(finite_difference_gradient(f, iv),
+                                      per_column_differences(f, iv))
+
+    def test_undefined_at_perturbed_point_names_input(self):
+        class Cliff(LinearFunctional):
+            """Finite at b = 2, undefined just above it."""
+
+            def __call__(self, q):
+                q = np.asarray(q)
+                return np.where(q[..., 1] > 2.0, np.nan, super().__call__(q))
+
+        f = Cliff([2.0, -3.0, 0.5])
+        iv = InputVector(("a", "b", "c"), np.array([1.0, 2.0, 3.0]),
+                         np.array([0.1, 0.1, 0.1]))
+        assert np.isfinite(f(iv.values))
+        for check in (finite_difference_gradient, jacobian):
+            with pytest.raises(DomainError, match="undefined at perturbed b$"):
+                check(f, iv)
+
     def test_linear_exact(self):
         f = LinearFunctional([2.0, -3.0, 0.5])
         iv = InputVector(("a", "b", "c"), np.array([1.0, 2.0, 3.0]),
@@ -99,7 +144,7 @@ class TestJacobian:
         iv = table_inputs()
         for f in (GammaEstimator(0), GammaEstimator(1), GammaEstimator(2),
                   KlyshkoEstimator()):
-            a = f.gradient(iv)
+            a = f.gradient(iv.values)
             fd = finite_difference_gradient(f, iv)
             scale = max(np.abs(a).max(), np.abs(fd).max())
             assert np.all(np.abs(a - fd) <= 1e-6 * np.maximum(np.abs(a), np.abs(fd))
@@ -115,14 +160,14 @@ class TestJacobian:
         rows = (GammaEstimator(0), GammaEstimator(1), GammaEstimator(2),
                 KlyshkoEstimator())
         for r, f in enumerate(rows):
-            assert core(iv)[r] == f(iv)
+            assert core(iv.values)[r] == f(iv.values)
             assert np.array_equal(g[r], jacobian(f, iv))
         with pytest.raises(DomainError):
-            GammaEstimator(3)(iv)  # row 3 is gamma_K, not a photon number
+            GammaEstimator(3)(iv.values)  # row 3 is gamma_K, not a photon number
 
         class LyingRow(CountingEstimators):
-            def gradient(self, iv):
-                g = super().gradient(iv).copy()
+            def gradient(self, q):
+                g = super().gradient(q).copy()
                 g[2, 4] *= 1.5  # d gamma2 / d C_off_1
                 return g
 
@@ -131,7 +176,7 @@ class TestJacobian:
 
     def test_disagreement_raises(self):
         class Lying(LinearFunctional):
-            def gradient(self, iv):
+            def gradient(self, q):
                 return 1.5 * self.coeff
 
         iv = InputVector(("a", "b"), np.array([1.0, 2.0]), np.array([0.1, 0.1]))
@@ -169,7 +214,7 @@ class TestJacobian:
         # orthogonal to a common rescaling of all ON (or OFF) counts
         iv = table_inputs()
         for f in (GammaEstimator(0), GammaEstimator(1), KlyshkoEstimator()):
-            g = f.gradient(iv)
+            g = f.gradient(iv.values)
             scale_on = np.concatenate([iv.values[:3], np.zeros(4)])
             scale_off = np.concatenate([np.zeros(3), iv.values[3:6], [0.0]])
             norm = np.abs(g).max() * iv.values.max()
