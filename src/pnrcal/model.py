@@ -226,10 +226,11 @@ def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     (k+1) x (2k+1) Jacobian over (C_on, C_off, xi), the order of
     `uncertainty.counting_inputs`.  Any leading batch axes broadcast:
     `c_on` and `c_off` of shape (..., k) and `xi` of shape (...) give
-    values of shape (..., k+1) and a Jacobian of shape (..., k+1, 2k+1),
-    each point evaluated exactly as it would be on its own.  An estimate
-    whose denominator vanishes comes back non-finite, without a warning;
-    callers decide what an undefined bin means.
+    values of shape (..., k+1) and a Jacobian of shape (..., k+1, 2k+1);
+    each point's values equal those of a call on that point alone, and its
+    Jacobian equals it to rounding.  An estimate whose denominator
+    vanishes comes back non-finite, without a warning; callers decide what
+    an undefined bin means.
     """
     c_on = np.asarray(c_on, dtype=float)
     c_off = np.asarray(c_off, dtype=float)
