@@ -134,7 +134,8 @@ def _fit_counts(side: str, kind: str, path: Path, n_bins: int, n_peaks: int):
     counts, fit, peaks_used = hg.robust_peak_counts(hist, n_peaks)
     ratio = fit.quality.ratio
     if not ratio <= MAX_QUALITY_RATIO:
-        raise FitFailureError(f"{side} fit quality ratio {ratio:.3g} > {MAX_QUALITY_RATIO:g}")
+        detail = f"{side} fit quality ratio {ratio:.3g} > {MAX_QUALITY_RATIO:g}"
+        raise FitFailureError(detail, side=side, reason="quality")
     return counts, {**dataclasses.asdict(fit.quality), "peaks_used": peaks_used}
 
 
@@ -229,8 +230,9 @@ def cmd_calibrate(args) -> int:
         return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
     except (ConfigError, DomainError, configparser.Error) as exc:
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
-    except (FitFailureError, InitializationError) as exc:
-        return _fail(EXIT_FIT, error="fit", detail=_oneline(exc))
+    except FitFailureError as exc:
+        # robust_peak_counts turns a failed seeding into FitFailureError
+        return _fail(EXIT_FIT, error="fit", **exc.keys, detail=_oneline(exc))
     args.write_reports(result, reports.ensure_dir(args.out))
     return EXIT_OK
 

@@ -14,11 +14,12 @@ class InitializationError(RuntimeError):
 
 
 class FitFailureError(RuntimeError):
-    """Nonlinear fit did not converge within the iteration cap."""
+    """A fit did not converge within the iteration cap, or failed a gate;
+    `keys` hold key=value diagnostics (`calibrate` prints them on stderr)."""
 
-    def __init__(self, message, residual_norm=None):
+    def __init__(self, message, **keys):
         super().__init__(message)
-        self.residual_norm = residual_norm
+        self.keys = keys
 
 
 class NumericalInstabilityError(RuntimeError):

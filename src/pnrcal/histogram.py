@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, FitFailureError, InitializationError
 from .model import CountVector
@@ -246,6 +245,9 @@ def fit_mixture(
     (a runaway component) raises FitFailureError naming the peak, its
     center and sigma and the condition it failed.
     """
+    # the only scipy.optimize user: commands that never fit skip its import
+    from scipy.optimize import least_squares
+
     if n_peaks < 1:
         raise DomainError("need at least one peak")
     if np.count_nonzero(hist.counts) < 3 * n_peaks:
@@ -476,32 +478,48 @@ def save_histogram_csv(hist: AmplitudeHistogram, path) -> None:
             writer.writerow([repr(float(c)), repr(float(n))])
 
 
-def load_histogram_csv(path) -> AmplitudeHistogram:
-    """Read a `bin_center,count` CSV; spacing must be uniform.
-
-    A row that is not two numbers raises DomainError naming the file and
-    its line.
-    """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["bin_center", "count"]:
-            raise DomainError(f"{path}: expected header 'bin_center,count'")
-        rows = []
-        for r in reader:
+def _read_numeric_csv(path, columns: tuple[str, ...]) -> np.ndarray:
+    """The (n, len(columns)) numbers under the CSV header `columns`, blank lines
+    skipped; a wrong header or row raises DomainError naming the file and line."""
+    n = len(columns)
+    with open(path) as fh:
+        if [h.strip() for h in fh.readline().split(",")] != list(columns):
+            raise DomainError(f"{path}: expected header {','.join(columns)!r}")
+    try:
+        with warnings.catch_warnings():
+            # a header-only file has no rows; callers reject it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+        if values.shape[1] == n:
+            return values
+    except ValueError:
+        pass
+    # a line scan names the bad row (the C parser counts non-blank rows only);
+    # it also takes whitespace-only lines, which the C parser refuses
+    rows = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line_no == 1 or not line.strip():
+                continue
             try:
-                if r:
-                    rows.append((float(r[0]), float(r[1])))
-            except (ValueError, IndexError):
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                rows.append([])
+            if len(rows[-1]) != n:
                 raise DomainError(
-                    f"{path}: line {reader.line_num}: expected two numbers, "
-                    f"got {','.join(r)!r}"
-                ) from None
+                    f"{path}: line {line_no}: expected "
+                    f"{('one number', 'two numbers')[n - 1]}, got {line.strip()!r}"
+                )
+    return np.array(rows).reshape(-1, n)
+
+
+def load_histogram_csv(path) -> AmplitudeHistogram:
+    """Read a `bin_center,count` CSV; spacing must be uniform, and a row
+    that is not two numbers raises DomainError naming the file and line."""
+    rows = _read_numeric_csv(path, ("bin_center", "count"))
     if len(rows) < 2:
         raise DomainError(f"{path}: need at least two bins")
-    centers = np.array([r[0] for r in rows])
-    counts = np.array([r[1] for r in rows])
+    centers, counts = rows.T
     widths = np.diff(centers)
     if np.any(widths <= 0) or np.ptp(widths) > 1e-9 * widths.mean():
         raise DomainError(f"{path}: bin centers must be uniformly spaced")

@@ -13,12 +13,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, ndtr, pdtrc, xlogy
 
 from . import histogram as hg
 from . import uncertainty as unc
@@ -187,6 +185,8 @@ def _poisson_tally(rng: np.random.Generator, n_gates: int, mean: float) -> np.nd
     the probability of n photons given at least n, until no gate is left:
     exact, with no truncated tail.  The last entry is nonzero.
     """
+    from scipy.special import gammaln, pdtrc, xlogy
+
     tally = []
     left, n = n_gates, 0
     while left > 0:
@@ -209,6 +209,8 @@ def _draw_histogram(
     """Bin the amplitudes of counts_by_n gates without drawing them: one
     multinomial per photon number over [underflow, bins, overflow], with
     Gaussian-CDF differences at the edges as the cell probabilities."""
+    from scipy.special import ndtr
+
     n = np.flatnonzero(counts_by_n)
     cdf = ndtr(
         (edges - config.peak_center(n)[:, None]) / config.peak_width(n)[:, None]
@@ -460,13 +462,16 @@ def closure_test(
 
 
 def save_run(run: RawRun, config: ExperimentConfig, out_dir) -> None:
-    """Persist on.csv / off.csv (column `amplitude`) and truth.json."""
+    """Persist on.csv / off.csv (column `amplitude`, one repr per line,
+    written 2**16 values at a time to bound memory) and truth.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, amps in (("on.csv", run.on_amplitudes), ("off.csv", run.off_amplitudes)):
         with open(out / name, "w") as fh:
             fh.write("amplitude\n")
-            fh.writelines(f"{a!r}\n" for a in amps.tolist())
+            for start in range(0, amps.size, 2**16):
+                block = amps[start : start + 2**16].tolist()
+                fh.write("\n".join(map(repr, block)) + "\n")
     truth = {
         "config": dataclasses.asdict(config),
         "tallies": dataclasses.asdict(run.tallies),
@@ -477,32 +482,6 @@ def save_run(run: RawRun, config: ExperimentConfig, out_dir) -> None:
 
 
 def load_amplitudes(path) -> np.ndarray:
-    """Read a single-column `amplitude` CSV; blank lines are skipped.
-
-    A value that is not a number raises DomainError naming the file and
-    its line.
-    """
-    with open(path) as fh:
-        if fh.readline().strip() != "amplitude":
-            raise DomainError(f"{path}: expected header 'amplitude'")
-    try:
-        with warnings.catch_warnings():
-            # a header-only file is an empty sample; callers reject it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(path, skiprows=1, comments=None, ndmin=2)
-    except ValueError as exc:
-        # name the line: the C parser counts non-blank rows only
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                try:
-                    if line_no > 1 and line.strip():
-                        float(line)
-                except ValueError:
-                    raise DomainError(
-                        f"{path}: line {line_no}: expected one number, "
-                        f"got {line.strip()!r}"
-                    ) from None
-        raise DomainError(f"{path}: {exc}") from None
-    if values.shape[1] != 1:
-        raise DomainError(f"{path}: expected one column, got {values.shape[1]}")
-    return values.reshape(-1)
+    """Read a single-column `amplitude` CSV; blank lines are skipped, and a
+    value that is not a number raises DomainError naming the file and line."""
+    return hg._read_numeric_csv(path, ("amplitude",)).reshape(-1)

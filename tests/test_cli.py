@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import pnrcal
 from pnrcal.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -39,6 +44,28 @@ peak_widths = 0.08 0.08 0.08 0.08
 n_pulses = 120000
 seed = 4242
 """
+
+ACCEPTANCE9_EXPERIMENT = """\
+[experiment]
+gamma_true = 0.1
+xi_true = 0.95
+herald_prob = 0.5
+background_mean = 0.05
+peak_centers = 0 1 2 3
+peak_widths = 0.08 0.08 0.08 0.08
+n_pulses = 20000
+seed = 3
+"""
+
+# the directory holding the pnrcal package, for fresh interpreters
+SRC = str(Path(pnrcal.__file__).resolve().parent.parent)
+
+
+def fresh_python(code, cwd):
+    """Run `python -c code` in a new interpreter (warnings as errors)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=cwd,
+                          env=env, capture_output=True, text=True, check=True)
 
 
 def write(tmp_path, name, text):
@@ -76,6 +103,23 @@ class TestSimulate:
         cfg = write(tmp_path, "exp.ini", EXPERIMENT + "rep_period_us = 5.0\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
         assert "pile-up" in capsys.readouterr().err
+
+
+class TestNoScipyWithoutFit:
+    def test_simulate_and_bypass_import_no_scipy(self, tmp_path):
+        # commands that never fit do not pay for importing scipy
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT.replace("20000", "2000"))
+        cal = write(tmp_path, "cal.ini", TABLE_COUNTS)
+        for argv in (["simulate", exp, "--out", "run"],
+                     ["calibrate", cal, "--bypass-fit", "--out", "rep"]):
+            proc = fresh_python(
+                "import sys\nfrom pnrcal.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print(code, [m for m in ('scipy.optimize', 'scipy.special') "
+                "if m in sys.modules])",
+                tmp_path,
+            )
+            assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stdout)
 
 
 class TestFit:
@@ -240,6 +284,26 @@ class TestCalibrateEndToEnd:
         assert abs(g0["fraction"] - 0.3) < 4 * g0["u_fraction"]
         assert doc["fit_quality"]["on"]["ratio"] < 1e-2
 
+    def test_inputs_reports_identical_across_processes(self, tmp_path):
+        # ACCEPTANCE 9's run, calibrated with [inputs] in two interpreters
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT)
+        assert main(["simulate", exp, "--out", str(tmp_path / "run")]) == EXIT_OK
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            "[herald]\nxi = 0.95\nu_xi = 1e-4\n\n[inputs]\n"
+            "on_amplitudes = run/on.csv\noff_amplitudes = run/off.csv\n\n"
+            "[fit]\nn_peaks = 3\nbins = 200\n",
+        )
+        reports = []
+        for out in ("r1", "r2"):
+            argv = ["calibrate", cal, "--out", out]
+            fresh_python(f"from pnrcal.cli import main; assert main({argv!r}) == 0", tmp_path)
+            doc = json.loads((tmp_path / out / "calibration.json").read_text())
+            reports.append((json.dumps(strip_timestamps(doc), sort_keys=True),
+                            (tmp_path / out / "budget.csv").read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         # a missing file, then a file holding a value that is not a number
         malformed = write(tmp_path, "on.csv", "amplitude\n0.1\nabc\n")
@@ -287,6 +351,9 @@ class TestFitQualityGate:
                 assert "error=fit" in err and "off fit quality ratio" in err
                 ratio = float(err.split("ratio ")[1].split()[0])
                 assert ratio > MAX_QUALITY_RATIO
+                # the side and reason come as keys before the detail
+                keys = err.split(" detail=")[0].split()
+                assert keys == ["error=fit", "side=off", "reason=quality"]
 
 
 class TestBudget:

@@ -12,6 +12,8 @@ from pnrcal.errors import ConfigError, DomainError
 from pnrcal.simulator import (
     ClosureReport,
     ExperimentConfig,
+    RawRun,
+    RunTallies,
     check_pileup,
     closure_test,
     dark_rate_for_purity,
@@ -356,6 +358,19 @@ class TestPersistence:
         truth = json.loads((tmp_path / "truth.json").read_text())
         assert truth["config"]["seed"] == cfg.seed
         assert truth["tallies"]["true_heralds"] == run.tallies.true_heralds
+
+    def test_amplitude_bytes_golden(self, tmp_path):
+        # the one-line-per-value writer, written out: save_run's blocks of
+        # 2**16 must give the same bytes, the boundary crossed included
+        edge = np.array([-0.0, 1e-05, -2.5e-07, 0.1, 1 / 3, 1e16])
+        tallies = RunTallies(0, 0, 0, 0, 0, (0,), (0,))
+        for n in (0, 1, 2**16, 2**16 + 3):  # n = 0 writes the header alone
+            on = np.resize(edge, n)
+            off = -np.resize(edge[::-1], n)
+            save_run(RawRun(on, off, tallies), make_config(), tmp_path)
+            for name, amps in (("on.csv", on), ("off.csv", off)):
+                golden = "amplitude\n" + "".join(f"{a!r}\n" for a in amps.tolist())
+                assert (tmp_path / name).read_bytes() == golden.encode(), (name, n)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
