@@ -31,7 +31,6 @@ from .uncertainty import (
     UncertaintyBudget,
     budget_for,
     counting_inputs,
-    covariance_from_repeats,
     jacobian,
     propagate,
 )
@@ -39,7 +38,6 @@ from .simulator import (
     ClosureReport,
     ExperimentConfig,
     RawRun,
-    check_pileup,
     closure_test,
     simulate_herald_stats,
     simulate_run,

@@ -221,12 +221,12 @@ def closure_report_table(report) -> str:
     lines = [
         f"closure: gamma_true={report.gamma_true:.6g} "
         f"seeds={report.n_completed}/{report.n_seeds}",
-        f"{'estimator':<10}{'n':>4}{'mean':>12}{'spread':>12}"
+        f"{'estimator':<14}{'n':>4}{'mean':>12}{'spread':>12}"
         f"{'claimed u':>12}{'bias':>12}{'pull var':>10}",
     ]
     for e in report.estimators:
         lines.append(
-            f"{e.name:<10}{e.n_success:>4}{e.mean:>12.4g}{e.spread:>12.4g}"
+            f"{e.name:<14}{e.n_success:>4}{e.mean:>12.4g}{e.spread:>12.4g}"
             f"{e.mean_claimed_u:>12.4g}{e.bias:>12.4g}{e.pull_variance:>10.3f}"
         )
     return "\n".join(lines)

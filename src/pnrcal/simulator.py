@@ -11,6 +11,7 @@ output doubles as the independent oracle for end-to-end closure tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import histogram as hg
-from . import uncertainty as unc
 from .errors import ConfigError, DomainError
-from .model import HeraldStats, estimate_names, estimate_xi, gamma_estimates
+from .model import CountVector, HeraldStats, estimate_names, estimate_xi
+from .reports import calibrate_counts
 
 
 @dataclass(frozen=True)
@@ -106,35 +107,16 @@ class RawRun:
     tallies: RunTallies
 
 
-@dataclass(frozen=True)
-class PileupReport:
-    passes: bool
-    rep_period_us: float
-    detector_recovery_us: float
-    margin_us: float
-
-
-def check_pileup(config: ExperimentConfig) -> PileupReport:
-    """Pass iff the pulse period is at least the detector recovery time."""
-    margin = config.rep_period_us - config.detector_recovery_us
-    return PileupReport(
-        passes=margin >= 0.0,
-        rep_period_us=config.rep_period_us,
-        detector_recovery_us=config.detector_recovery_us,
-        margin_us=margin,
-    )
-
-
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _refuse_pileup(config: ExperimentConfig) -> None:
-    report = check_pileup(config)
-    if not report.passes:
+    """Refuse a pulse period shorter than the detector recovery time."""
+    if not config.rep_period_us - config.detector_recovery_us >= 0.0:
         raise ConfigError(
-            f"pile-up check failed: rep_period_us={report.rep_period_us} "
-            f"< detector_recovery_us={report.detector_recovery_us}"
+            f"pile-up check failed: rep_period_us={config.rep_period_us} "
+            f"< detector_recovery_us={config.detector_recovery_us}"
         )
 
 
@@ -340,7 +322,9 @@ class ClosureReport:
 
 
 def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
-    """One seed of the full pipeline: simulate, fit, extract, estimate."""
+    """One seed of the full pipeline: simulate, fit, extract, then
+    `calibrate_counts`.  Returns {name: (value, u)} for each estimate it
+    reports, and for its weighted mean."""
     lo = min(config.peak_centers) - 6.0 * max(config.peak_widths)
     hi = (
         float(config.peak_center(np.array([max_index]))[0])
@@ -375,17 +359,26 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
         ]
         counts[tag], _, _ = hg.robust_peak_counts(hist, n_peaks, init=init)
 
-    inputs = unc.counting_inputs(counts["on"], counts["off"], xi)
-    values, jac = gamma_estimates(counts["on"].counts, counts["off"].counts, xi.xi)
-    # the analytic Jacobian, not the cross-checking jacobian(): padded zero
-    # counts sit below the resolution of the fixed finite-difference step,
-    # so the cross-check would reject them spuriously.  An undefined bin is
-    # skipped for this seed; the others still count.
-    return {
-        name: (float(value), unc.propagate(gradient, inputs, name).combined)
-        for name, value, gradient in zip(estimate_names(n_peaks), values, jac)
-        if math.isfinite(value)
-    }
+    # a photon number that neither fit kept is skipped for this seed: the
+    # bins up to the highest one with counts give the same sums, and so the
+    # same estimates, as all n_peaks would
+    k = 1 + int(np.flatnonzero(counts["on"].counts + counts["off"].counts).max())
+    on, off = (
+        CountVector(c.counts[:k], c.uncertainties[:k])
+        for c in (counts["on"], counts["off"])
+    )
+    result = calibrate_counts(on, off, xi)
+    scored = {name: (e.gamma, e.u_gamma) for name, e in result.estimates.items()}
+    scored["weighted_mean"] = (result.combined.gamma, result.combined.u_gamma)
+    return scored
+
+
+def _closure_seed(config: ExperimentConfig, n_bins: int, max_index: int):
+    """(scored estimates, None) for one seed, or (None, failure record)."""
+    try:
+        return _closure_single(config, n_bins, max_index), None
+    except Exception as exc:  # recorded, not fatal
+        return None, f"seed={config.seed} stage_error={exc!r}"
 
 
 def closure_test(
@@ -406,31 +399,19 @@ def closure_test(
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(n_seeds)]
     configs = [dataclasses.replace(config, seed=s) for s in seeds]
 
-    per_seed: list[dict | None] = []
-    failures: list[str] = []
+    run_seed = functools.partial(_closure_seed, n_bins=n_bins, max_index=max_index)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_closure_single, c, n_bins, max_index) for c in configs
-            ]
-            for k, fut in enumerate(futures):
-                try:
-                    per_seed.append(fut.result())
-                except Exception as exc:  # recorded, not fatal
-                    per_seed.append(None)
-                    failures.append(f"seed={seeds[k]} stage_error={exc!r}")
+            outcomes = list(pool.map(run_seed, configs))
     else:
-        for k, c in enumerate(configs):
-            try:
-                per_seed.append(_closure_single(c, n_bins, max_index))
-            except Exception as exc:
-                per_seed.append(None)
-                failures.append(f"seed={seeds[k]} stage_error={exc!r}")
+        outcomes = list(map(run_seed, configs))
+    per_seed = [scored for scored, _ in outcomes]
+    failures = [failure for _, failure in outcomes if failure is not None]
 
     estimators = []
-    for name in estimate_names(max_index + 1):
+    for name in estimate_names(max_index + 1) + ["weighted_mean"]:
         vals = np.array(
             [r[name][0] for r in per_seed if r is not None and name in r]
         )

@@ -225,25 +225,3 @@ def propagate(gradient: np.ndarray, inputs: InputVector, target: str = "") -> Un
 def budget_for(f, inputs: InputVector) -> UncertaintyBudget:
     """Jacobian plus propagation in one step."""
     return propagate(jacobian(f, inputs), inputs, target=getattr(f, "name", ""))
-
-
-def covariance_from_repeats(runs: list[InputVector]) -> InputVector:
-    """Mean values and covariance of the mean from repeated measurements.
-
-    Sample covariance uses 1/(n-1); the returned uncertainties are standard
-    uncertainties of the mean (sample std / sqrt(n)) and the covariance is
-    scaled accordingly so that its diagonal equals their squares.
-    """
-    if len(runs) < 2:
-        raise DomainError("need at least two runs")
-    names = runs[0].names
-    if any(r.names != names for r in runs):
-        raise DomainError("runs must share quantity ordering")
-    data = np.stack([r.values for r in runs])
-    n = data.shape[0]
-    mean = data.mean(axis=0)
-    centered = data - mean
-    sample_cov = centered.T @ centered / (n - 1)
-    cov_of_mean = sample_cov / n
-    u = np.sqrt(np.diag(cov_of_mean))
-    return InputVector(names, mean, u, cov_of_mean)

@@ -380,6 +380,7 @@ class TestClosure:
         doc = json.loads((out / "closure.json").read_text())
         assert doc["n_completed"] == 3
         assert "gamma0" in doc["estimators"]
+        assert "weighted_mean" in doc["estimators"]
         assert (out / "closure.txt").read_text().startswith("closure:")
 
     def test_one_seed_exit_2(self, tmp_path):

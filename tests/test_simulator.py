@@ -14,7 +14,7 @@ from pnrcal.simulator import (
     ExperimentConfig,
     RawRun,
     RunTallies,
-    check_pileup,
+    _closure_single,
     closure_test,
     dark_rate_for_purity,
     load_amplitudes,
@@ -23,8 +23,15 @@ from pnrcal.simulator import (
     simulate_histograms,
     simulate_run,
 )
-from pnrcal.histogram import build_histogram
-from pnrcal.model import forward_distribution, PhotonNumberDistribution, estimate_xi
+from pnrcal import histogram as hg
+from pnrcal.histogram import build_histogram, robust_peak_counts
+from pnrcal.model import (
+    CountVector,
+    forward_distribution,
+    PhotonNumberDistribution,
+    estimate_xi,
+)
+from pnrcal.reports import calibrate_counts
 
 
 def make_config(**overrides):
@@ -62,22 +69,20 @@ class TestConfigValidation:
 
 
 class TestPileup:
+    # two bins keep the draw cheap when the check passes
     def test_default_passes(self):
-        rep = check_pileup(make_config())
-        assert rep.passes and rep.margin_us == pytest.approx(25.0 - 10.4)
+        simulate_histograms(make_config(), 2, (-0.5, 3.5))
 
     def test_short_period_fails(self):
-        rep = check_pileup(make_config(rep_period_us=5.0))
-        assert not rep.passes and rep.margin_us < 0
+        with pytest.raises(ConfigError, match="pile-up"):
+            simulate_histograms(make_config(rep_period_us=5.0), 2, (-0.5, 3.5))
 
     def test_boundary_passes(self):
-        rep = check_pileup(make_config(rep_period_us=10.4))
-        assert rep.passes and rep.margin_us == 0.0
+        simulate_histograms(make_config(rep_period_us=10.4), 2, (-0.5, 3.5))
 
     @given(extra=st.floats(0.0, 100.0))
     def test_monotone_in_period(self, extra):
-        rep = check_pileup(make_config(rep_period_us=10.4 + extra))
-        assert rep.passes
+        simulate_histograms(make_config(rep_period_us=10.4 + extra), 2, (-0.5, 3.5))
 
     def test_simulate_refuses_pileup(self):
         with pytest.raises(ConfigError):
@@ -323,7 +328,38 @@ class TestClosure:
         expected_bias = -cfg.gamma_true * -math.expm1(-cfg.background_mean)
         se = k.spread / math.sqrt(k.n_success)
         assert abs(k.bias - expected_bias) <= 3.0 * se, (k.bias, expected_bias, se)
-        # gamma2 is left out: its claimed u is known to be miscalibrated
+        # gamma2 is left out: its problem is bias (the fit narrows the
+        # sparse n=2 peaks), not its claimed u
+
+    def test_seed_without_n2_counts_scores_calibrate_counts(self, monkeypatch):
+        # seed 28 of SeedSequence root 7 at paper scale: both fits drop n=2
+        cfg = make_config(gamma_true=0.00709, xi_true=0.98794,
+                          background_mean=0.00286, n_pulses=2_200_000,
+                          seed=3821436085)
+        fitted = []
+
+        def spy(*args, **kwargs):
+            out = robust_peak_counts(*args, **kwargs)
+            fitted.append(out[0])
+            return out
+
+        monkeypatch.setattr(hg, "robust_peak_counts", spy)
+        scored = _closure_single(cfg, n_bins=200, max_index=2)
+        on, off = fitted
+        assert on.counts[2] == off.counts[2] == 0.0
+        assert "gamma2" not in scored
+        xi = estimate_xi(simulate_herald_stats(cfg, dark_rate_for_purity(cfg)))
+        result = calibrate_counts(
+            CountVector(on.counts[:2], on.uncertainties[:2]),
+            CountVector(off.counts[:2], off.uncertainties[:2]),
+            xi,
+        )
+        for name in ("gamma0", "gamma1", "gammaK"):
+            e = result.estimates[name]
+            assert scored[name] == (e.gamma, e.u_gamma)
+        assert scored["weighted_mean"] == (
+            result.combined.gamma, result.combined.u_gamma
+        )
 
     def test_requires_two_seeds(self):
         with pytest.raises(DomainError):

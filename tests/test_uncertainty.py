@@ -14,7 +14,6 @@ from pnrcal.uncertainty import (
     KlyshkoEstimator,
     budget_for,
     counting_inputs,
-    covariance_from_repeats,
     finite_difference_gradient,
     jacobian,
     propagate,
@@ -285,44 +284,3 @@ class TestTableBudgets:
             # sparse i=2 bin
             if key != "gamma2":
                 assert 3e-3 <= 100.0 * b.combined <= 7e-3
-
-
-class TestCovarianceFromRepeats:
-    def test_identical_runs_rejected_vs_zero(self):
-        names = ("a", "b")
-        runs = [InputVector(names, np.array([1.0, 2.0]), np.zeros(2))] * 3
-        iv = covariance_from_repeats(runs)
-        assert np.all(iv.uncertainties == 0.0)
-        assert np.all(iv.covariance == 0.0)
-
-    def test_anticorrelated_pair(self):
-        names = ("a", "b")
-        runs = [
-            InputVector(names, np.array([1.0, -1.0]), np.zeros(2)),
-            InputVector(names, np.array([-1.0, 1.0]), np.zeros(2)),
-        ]
-        iv = covariance_from_repeats(runs)
-        assert np.allclose(iv.values, [0.0, 0.0])
-        # covariance of the mean: sample cov [[2,-2],[-2,2]] divided by n=2
-        assert np.allclose(iv.covariance, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(
-            iv.covariance[0, 1],
-            -iv.uncertainties[0] * iv.uncertainties[1],
-        )
-
-    def test_requires_two_runs(self):
-        with pytest.raises(DomainError):
-            covariance_from_repeats(
-                [InputVector(("a",), np.array([1.0]), np.array([0.0]))]
-            )
-
-    def test_diagonal_matches_scatter_of_mean(self):
-        rng = np.random.default_rng(5)
-        names = ("a", "b", "c")
-        sigma = np.array([10.0, 3.0, 1.0])
-        runs = [
-            InputVector(names, 100.0 + rng.normal(0, sigma), np.zeros(3))
-            for _ in range(400)
-        ]
-        iv = covariance_from_repeats(runs)
-        assert np.allclose(iv.uncertainties, sigma / math.sqrt(400), rtol=0.15)
