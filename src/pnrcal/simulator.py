@@ -373,12 +373,12 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     return scored
 
 
-def _closure_seed(config: ExperimentConfig, n_bins: int, max_index: int):
-    """(scored estimates, None) for one seed, or (None, failure record)."""
+def _closure_seed(seed: int, score):
+    """(score(), None) for one seed, or (None, its failure record)."""
     try:
-        return _closure_single(config, n_bins, max_index), None
+        return score(), None
     except Exception as exc:  # recorded, not fatal
-        return None, f"seed={config.seed} stage_error={exc!r}"
+        return None, f"seed={seed} stage_error={exc!r}"
 
 
 def closure_test(
@@ -392,21 +392,26 @@ def closure_test(
 
     pull = (estimate - gamma_true) / claimed uncertainty; unit pull
     variance means the claimed uncertainties are calibrated.  Per-seed
-    failures are recorded, not fatal.
+    failures are recorded, not fatal.  An estimator that no seed scored
+    gets no row.
     """
     if n_seeds < 2:
         raise DomainError("need at least two seeds")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(n_seeds)]
     configs = [dataclasses.replace(config, seed=s) for s in seeds]
 
-    run_seed = functools.partial(_closure_seed, n_bins=n_bins, max_index=max_index)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a worker that dies mid-seed fails that seed through fut.result()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_seed, configs))
+            futures = [pool.submit(_closure_single, c, n_bins, max_index) for c in configs]
+            outcomes = [_closure_seed(c.seed, f.result) for c, f in zip(configs, futures)]
     else:
-        outcomes = list(map(run_seed, configs))
+        outcomes = [
+            _closure_seed(c.seed, functools.partial(_closure_single, c, n_bins, max_index))
+            for c in configs
+        ]
     per_seed = [scored for scored, _ in outcomes]
     failures = [failure for _, failure in outcomes if failure is not None]
 
@@ -415,6 +420,8 @@ def closure_test(
         vals = np.array(
             [r[name][0] for r in per_seed if r is not None and name in r]
         )
+        if not vals.size:
+            continue  # no seed scored it: nothing to report
         us = np.array(
             [r[name][1] for r in per_seed if r is not None and name in r]
         )
@@ -424,10 +431,10 @@ def closure_test(
             EstimatorClosure(
                 name=name,
                 n_success=int(vals.size),
-                mean=float(vals.mean()) if vals.size else math.nan,
+                mean=float(vals.mean()),
                 spread=float(vals.std(ddof=1)) if vals.size > 1 else math.nan,
-                mean_claimed_u=float(us.mean()) if us.size else math.nan,
-                bias=float(vals.mean() - config.gamma_true) if vals.size else math.nan,
+                mean_claimed_u=float(us.mean()),
+                bias=float(vals.mean() - config.gamma_true),
                 pull_mean=float(pulls.mean()) if pulls.size else math.nan,
                 pull_variance=float(pulls.var(ddof=1)) if pulls.size > 1 else math.nan,
                 n_out_of_range=int(np.count_nonzero((vals < 0.0) | (vals > 1.0))),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ from pnrcal.model import (
     estimate_xi,
 )
 from pnrcal.reports import calibrate_counts
+
+
+def _die_mid_seed(*args):
+    os._exit(1)  # a pool worker killed mid-seed, as by the OOM killer
 
 
 def make_config(**overrides):
@@ -87,8 +92,6 @@ class TestPileup:
     def test_simulate_refuses_pileup(self):
         with pytest.raises(ConfigError):
             simulate_run(make_config(rep_period_us=5.0))
-        with pytest.raises(ConfigError):
-            simulate_histograms(make_config(rep_period_us=5.0), 120, (-0.5, 3.5))
 
 
 class TestSimulateRun:
@@ -360,6 +363,25 @@ class TestClosure:
         assert scored["weighted_mean"] == (
             result.combined.gamma, result.combined.u_gamma
         )
+
+    def test_unscored_estimator_gets_no_row(self, monkeypatch):
+        # every seed dropped n=2, so gamma2 has no value to average
+        scored = {"gamma0": (0.1, 0.01), "gamma1": (0.11, 0.02),
+                  "gammaK": (0.09, 0.01), "weighted_mean": (0.1, 0.008)}
+        monkeypatch.setattr("pnrcal.simulator._closure_single",
+                            lambda *args: scored)
+        report = closure_test(make_config(), n_seeds=2, max_index=2)
+        assert [e.name for e in report.estimators] == list(scored)
+        assert all(e.n_success == 2 and math.isfinite(e.mean)
+                   for e in report.estimators)
+
+    def test_dead_worker_fails_its_seeds(self, monkeypatch):
+        monkeypatch.setattr("pnrcal.simulator._closure_single", _die_mid_seed)
+        report = closure_test(make_config(), n_seeds=2, jobs=2)
+        assert report.n_completed == 0 and report.estimators == ()
+        assert len(report.failures) == 2
+        assert all(f.startswith("seed=") and "BrokenProcessPool" in f
+                   for f in report.failures)
 
     def test_requires_two_seeds(self):
         with pytest.raises(DomainError):
