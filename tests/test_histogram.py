@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from pnrcal.histogram import (
     robust_peak_counts,
     save_histogram_csv,
 )
+from pnrcal.simulator import ExperimentConfig, simulate_histograms, simulate_run
 
 
 def exact_histogram(peaks, lo=-1.0, hi=4.0, n_bins=250):
@@ -292,6 +295,119 @@ class TestRobustPeakCounts:
         assert used == 2
         direct = extract_counts(fit_mixture(h, n_peaks=2), h.bin_width)
         assert np.allclose(cv.counts, direct.counts, rtol=1e-9)
+
+
+# ACCEPTANCE 7a runs, and the README [experiment] at paper scale
+LOW_COUNT = ExperimentConfig(
+    gamma_true=0.3, xi_true=0.95, herald_prob=0.8, background_mean=0.3,
+    peak_centers=(0.0, 1.0, 2.0, 3.0), peak_widths=(0.08,) * 4,
+    n_pulses=40_000, seed=0,
+)
+PAPER_SCALE = ExperimentConfig(
+    gamma_true=0.00709, xi_true=0.98794, herald_prob=0.5,
+    background_mean=0.00286, peak_centers=(0.0, 1.0, 2.0, 3.0),
+    peak_widths=(0.08,) * 4, n_pulses=2_200_000, seed=42,
+)
+
+
+def paper_scale_sides(seed):
+    """A closure seed's ON and OFF histograms (200 bins over n = 0-2 plus
+    six widths) and its init: 3 peaks at the true centres and widths,
+    amplitude the count in the centre's bin."""
+    lo, hi = -0.48, 2.48
+    cfg = dataclasses.replace(PAPER_SCALE, seed=seed)
+    on, off, _ = simulate_histograms(cfg, 200, (lo, hi))
+    for hist in (on, off):
+        init = [
+            GaussianPeak(max(float(hist.counts[int((c - lo) / hist.bin_width)]), 1.0),
+                         c, 0.08)
+            for c in (0.0, 1.0, 2.0)
+        ]
+        yield hist, init
+
+
+def fit_digest(fit):
+    """sha256 of the parameters, covariance and quality, bit for bit."""
+    q = fit.quality
+    blob = np.concatenate([
+        fit.parameters,
+        fit.covariance.ravel(),
+        [q.reduced_chi_square, q.reduced_total_sum_of_squares, q.ratio,
+         q.degrees_of_freedom],
+    ])
+    return hashlib.sha256(blob.tobytes()).hexdigest()
+
+
+def golden_fits():
+    """{case: MixtureFit} for every fit the golden test freezes."""
+    fits = {}
+    for seed in (0, 1, 2):
+        run = simulate_run(dataclasses.replace(LOW_COUNT, seed=seed))
+        hist = build_histogram(run.on_amplitudes, 150, (-0.4, 3.6))
+        fits[f"7a seed {seed}"] = fit_mixture(hist, 4)
+    for side, (hist, init) in zip(("on", "off"), paper_scale_sides(42)):
+        fits[f"readme {side}"] = fit_mixture(hist, 3, init=init)
+    fits["two peaks unweighted"] = fit_mixture(noisy_two_peak(), 2, weighting="none")
+    return fits
+
+
+class TestFitGolden:
+    """Fit results frozen bit for bit, so that a faster model, Jacobian or
+    solver call that changes any iterate shows.  Frozen with numpy 2.4.6
+    and scipy 1.17.1 on x86-64 (OpenBLAS); another build of either may
+    move the last bits and need a refreeze.  Each entry is the sha256 of
+    `fit_digest` and the quality ratio in `float.hex`."""
+
+    FITS = {
+        "7a seed 0": ("1505a29c5a48fd9c3aa16e971724b4c8a9d4f0d1704c7d5008e2881b85042330",
+                      "0x1.4c352d149404dp-18"),
+        "7a seed 1": ("2cf1d78d19ebca5c633d461cee440f33262ae717a40bd7a71434753e9c2f9f46",
+                      "0x1.11b662aa3ddf3p-18"),
+        "7a seed 2": ("49a4c180cbf6a8d201593688032efa7f4ecebffe0b645f524d3dc59ae3fe16bb",
+                      "0x1.336db923184a6p-18"),
+        "readme on": ("e8773b2869772e202800a8204df282cac5c56ab3d6e6d3caa405e5dbb9067f48",
+                      "0x1.281a7e4417a84p-28"),
+        "readme off": ("1389e38a372e8a67ff09913bc24a4f3c0cc5d5d5a28ab1dd34c728ee37c1b322",
+                       "0x1.3b63b961ec67cp-28"),
+        "two peaks unweighted": (
+            "86002450babe3be1c70df11b10525963df934a77172d29d00ffae34181093b36",
+            "0x1.29a821aeac416p-23",
+        ),
+    }
+    ROBUST = {
+        "on": (
+            2,
+            ["0x1.09e921fb840c8p+20", "0x1.4f207959d0b55p+13", "0x0.0p+0"],
+            ["0x1.2993134f4192bp+10", "0x1.d878aebe52f77p+6", "0x0.0p+0"],
+            "66c2523b0e3757b5ce94468e7a4868a4895390884422c1f0d75dc80cbc75e23a",
+        ),
+        "off": (
+            2,
+            ["0x1.0bbfadd339f18p+20", "0x1.921f0cc855760p+11", "0x0.0p+0"],
+            ["0x1.16179de0a3145p+10", "0x1.e214229e8f712p+5", "0x0.0p+0"],
+            "fbc47a720cf6ba7f5b45f4a053318b78bb55c28266022698c0a221dae48805ed",
+        ),
+    }
+
+    def test_fits(self):
+        got = {
+            name: (fit_digest(fit), fit.quality.ratio.hex())
+            for name, fit in golden_fits().items()
+        }
+        assert got == self.FITS
+
+    def test_robust_counts_drop_n2(self):
+        # seed 28 of SeedSequence root 7: both sides drop the n=2 peak
+        got = {}
+        for side, (hist, init) in zip(("on", "off"), paper_scale_sides(3821436085)):
+            cv, fit, used = robust_peak_counts(hist, 3, init=init)
+            got[side] = (
+                used,
+                [v.hex() for v in cv.counts],
+                [v.hex() for v in cv.uncertainties],
+                fit_digest(fit),
+            )
+        assert got == self.ROBUST
 
 
 class TestCsvRoundTrip:
