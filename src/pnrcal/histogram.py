@@ -124,24 +124,31 @@ class MixtureFit:
         )
 
 
+def _gaussian_terms(x: np.ndarray, params: np.ndarray):
+    """Each peak's A, x - x0 and sigma, and exp(-(x - x0)^2 / (2 sigma^2)),
+    as (peaks, bins) arrays.  `params` is copied: the solver passes a
+    buffer it goes on to overwrite, and the terms outlive the call."""
+    p = np.array(params, dtype=float).reshape(-1, 3, 1)
+    a, mu, sig = p[:, 0], p[:, 1], p[:, 2]
+    d = np.asarray(x, dtype=float) - mu
+    # float_power is libm pow, as `**` on a scalar is; `**` on an array
+    # squares or takes a SIMD pow, which differ in the last bit
+    g = np.exp(-(d**2) / (2.0 * np.float_power(sig, 2)))
+    return a, d, sig, g
+
+
+def _gaussian_jacobian(a, d, sig, g) -> np.ndarray:
+    """(bins, 3 * peaks) derivatives of the Gaussian sum by (A, x0, sigma)."""
+    ag = a * g
+    columns = (g, ag * d / np.float_power(sig, 2), ag * d**2 / np.float_power(sig, 3))
+    # (bins, peaks, 3), flattened to the (A, x0, sigma) order of params
+    return np.stack(columns, axis=-1).transpose(1, 0, 2).reshape(d.shape[1], -1)
+
+
 def gaussian_sum(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Sum of Gaussians; params = (A, x0, sigma) per peak, flattened."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for a, mu, sig in np.asarray(params, dtype=float).reshape(-1, 3):
-        out += a * np.exp(-((x - mu) ** 2) / (2.0 * sig**2))
-    return out
-
-
-def _gaussian_sum_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    p = np.asarray(params, dtype=float).reshape(-1, 3)
-    jac = np.empty((x.size, 3 * p.shape[0]))
-    for k, (a, mu, sig) in enumerate(p):
-        g = np.exp(-((x - mu) ** 2) / (2.0 * sig**2))
-        jac[:, 3 * k] = g
-        jac[:, 3 * k + 1] = a * g * (x - mu) / sig**2
-        jac[:, 3 * k + 2] = a * g * (x - mu) ** 2 / sig**3
-    return jac
+    a, _, _, g = _gaussian_terms(x, params)
+    return (a * g).sum(axis=0)
 
 
 def build_histogram(
@@ -237,16 +244,20 @@ def fit_mixture(
 ) -> MixtureFit:
     """Levenberg-Marquardt fit of a sum of Gaussians to the histogram.
 
-    With the default Poisson weighting each bin residual is scaled by
-    1/sqrt(max(count, 1)); `weighting="none"` gives plain least squares.
-    The covariance comes from the final Jacobian with residual variance
-    scaling.  Peaks are returned sorted by center.  A fitted peak that is
-    not finite, narrower than one bin, or centred outside the histogram
-    (a runaway component) raises FitFailureError naming the peak, its
-    center and sigma and the condition it failed.
+    Each solve is MINPACK's `lmder` through `scipy.optimize.leastsq` with
+    the analytic Jacobian; a solver step evaluates the Gaussian terms once,
+    and the Jacobian at the same parameters reuses them.  With the default
+    Poisson weighting each bin residual is scaled by 1/sqrt(max(count, 1));
+    `weighting="none"` gives plain least squares.  The covariance comes
+    from the Jacobian at the solution with residual variance scaling.
+    Peaks are returned sorted by center.  A start point where a residual
+    is not finite raises FitFailureError, and so does a fitted peak that is
+    not finite, narrower than one bin, or centred outside the histogram (a
+    runaway component), naming the peak, its center and sigma and the
+    condition it failed.
     """
     # the only scipy.optimize user: commands that never fit skip its import
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     if n_peaks < 1:
         raise DomainError("need at least one peak")
@@ -268,29 +279,47 @@ def fit_mixture(
     else:
         p0 = _seed_from_maxima(hist, n_peaks)
 
-    def solve(p_start, w, required=True, ftol=FTOL, max_iter=MAX_ITER):
+    def solve(p_start, w, required=True):
+        """One LM solve: (x, residuals at x, converged, Jacobian function)."""
+        cache = {}  # the terms at the parameters last evaluated, by their bytes
+
+        def terms(params):
+            key = params.tobytes()
+            if key not in cache:
+                cache.clear()
+                cache[key] = _gaussian_terms(x, params)
+            return cache[key]
+
         def residuals(params):
-            return (gaussian_sum(x, params) - y) * w
+            a, _, _, g = terms(params)
+            return ((a * g).sum(axis=0) - y) * w
 
         def jac(params):
-            return _gaussian_sum_jacobian(x, params) * w[:, None]
+            return _gaussian_jacobian(*terms(params)) * w[:, None]
 
-        res = least_squares(
+        bad = np.count_nonzero(~np.isfinite(residuals(p_start)))
+        if bad:
+            raise FitFailureError(
+                f"mixture fit residuals are not finite at the start point "
+                f"({bad} of {y.size} bins)"
+            )
+        p, _, info, _, ier = leastsq(
             residuals,
             p_start,
-            jac=jac,
-            method="lm",
-            ftol=ftol,
+            Dfun=jac,
+            full_output=True,
+            ftol=FTOL,
             xtol=1e-14,
             gtol=1e-14,
-            max_nfev=max_iter * (p_start.size + 1),
+            maxfev=MAX_ITER * (p_start.size + 1),
         )
-        if required and res.status <= 0:
+        converged = 1 <= ier <= 4
+        if required and not converged:
             raise FitFailureError(
                 "mixture fit did not converge within the iteration cap",
-                residual_norm=float(np.linalg.norm(res.fun)),
+                residual_norm=float(np.linalg.norm(info["fvec"])),
             )
-        return res
+        return p, info["fvec"], converged, jac
 
     # a runaway component overflows the model on its way out of the
     # histogram; it is rejected below, so the overflow is no error
@@ -300,30 +329,32 @@ def fit_mixture(
             # (Pearson): observed-count weights bias low-count peak areas and
             # misstate their variances.  The first pass only preconditions
             # the Pearson stages, so hitting its iteration cap is not fatal.
-            res = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)), required=False)
+            p = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)), required=False)[0]
             # Iterate the reweighting to its fixed point so refits started
             # from the solution reproduce it.  At least one Pearson pass must
             # converge within the iteration cap.
             converged = False
             for attempt in range(8):
-                w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, res.x), 1.0))
-                prev = res.x
-                res = solve(res.x, w, required=False)
-                converged = converged or res.status > 0
-                step = np.abs(res.x - prev)
+                w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, p), 1.0))
+                prev = p
+                p, fvec, ok, jac = solve(p, w, required=False)
+                converged = converged or ok
+                step = np.abs(p - prev)
                 if converged and np.all(
-                    step <= 1e-12 * np.maximum(np.abs(res.x), 1e-300)
+                    step <= 1e-12 * np.maximum(np.abs(p), 1e-300)
                 ):
                     break
             if not converged:
                 raise FitFailureError(
                     "mixture fit did not converge within the iteration cap",
-                    residual_norm=float(np.linalg.norm(res.fun)),
+                    residual_norm=float(np.linalg.norm(fvec)),
                 )
         else:
-            res = solve(p0, np.ones_like(y))
+            p, fvec, _, jac = solve(p0, np.ones_like(y))
+        # at the solution: the solver's last evaluation may be a rejected step
+        J = jac(p)
 
-    params = res.x.copy()
+    params = p.copy()
     # sign of sigma is unidentifiable; canonicalize
     params[2::3] = np.abs(params[2::3])
     params[0::3] = np.abs(params[0::3])
@@ -333,11 +364,11 @@ def fit_mixture(
     # before the covariance: a runaway's Jacobian is not finite
     _reject_degenerate(params[perm], hist)
 
-    jtj = res.jac.T @ res.jac
+    jtj = J.T @ J
     # Empty bins carry no information; keeping them in the dof would dilute
     # the residual variance scale.
     dof = max(int(np.count_nonzero(y)) - params.size, 1)
-    s2 = 2.0 * res.cost / dof
+    s2 = np.dot(fvec, fvec) / dof
     cov = np.linalg.pinv(jtj) * s2
 
     params = params[perm]

@@ -191,12 +191,83 @@ class TestFitMixture:
         with pytest.raises((InitializationError, FitFailureError)):
             fit_mixture(h, n_peaks=3)
 
+    def test_non_finite_start_raises_fit_failure(self):
+        # an infinite amplitude makes every residual inf or NaN: a fit
+        # failure that robust_peak_counts handles, not a bare ValueError
+        h = noisy_two_peak()
+        init = [GaussianPeak(math.inf, 0.0, 0.1)]
+        with pytest.raises(FitFailureError, match="not finite at the start"):
+            fit_mixture(h, 1, init=init)
+        with pytest.raises(FitFailureError, match="no usable mixture fit"):
+            robust_peak_counts(h, 1, init=init)
+
     def test_covariance_shape_and_psd(self):
         h = noisy_two_peak()
         fit = fit_mixture(h, n_peaks=2)
         assert fit.covariance.shape == (6, 6)
         assert np.allclose(fit.covariance, fit.covariance.T)
         assert np.all(np.linalg.eigvalsh(fit.covariance) > -1e-12)
+
+
+def jacobian(x, params):
+    return hg._gaussian_jacobian(*hg._gaussian_terms(x, params))
+
+
+class TestGaussianModel:
+    X = np.linspace(-0.4, 3.6, 150)
+    # LM visits negative amplitudes and widths; the model is even in sigma
+    PEAK_SETS = [
+        [(100.0, 1.0, 0.1)],
+        [(5000.0, 0.0, 0.08), (50.0, 1.0, 0.09), (1.0, 2.0, 0.10)],
+        [(-30.0, 0.5, 0.2), (200.0, 1.2, -0.15)],
+        [(40.0, 0.0, -0.08), (-5.0, 1.0, -0.3), (300.0, 2.1, 0.05), (8.0, 3.0, 0.4)],
+    ]
+
+    @pytest.mark.parametrize("peaks", PEAK_SETS)
+    def test_jacobian_matches_central_differences(self, peaks):
+        p = np.array(peaks, dtype=float).ravel()
+        numeric = np.empty((self.X.size, p.size))
+        for j in range(p.size):
+            h = 1e-6 * max(abs(p[j]), 1e-2)
+            up, down = p.copy(), p.copy()
+            up[j] += h
+            down[j] -= h
+            numeric[:, j] = (
+                gaussian_sum(self.X, up) - gaussian_sum(self.X, down)
+            ) / (2.0 * h)
+        analytic = jacobian(self.X, p)
+        assert analytic.shape == (self.X.size, p.size)
+        scale = np.abs(analytic).max(axis=0)
+        assert np.all(np.abs(analytic - numeric) <= 1e-6 * scale)
+
+    def test_equals_per_peak_formula_bit_for_bit(self):
+        # each peak on its own with scalar parameters, as the model is
+        # written; sigma 0.18231512161212451 is one where squaring an array
+        # and pow on a scalar round differently
+        rng = np.random.default_rng(11)
+        sets = [np.array([[120.0, 1.0, 0.18231512161212451]])] + [
+            np.column_stack([rng.uniform(-50, 500, 4), rng.uniform(-0.5, 3.5, 4),
+                             rng.uniform(-0.3, 0.3, 4)])
+            for _ in range(50)
+        ]
+        for p in sets:
+            model = np.zeros_like(self.X)
+            jac = np.empty((self.X.size, p.size))
+            for k, (a, mu, sig) in enumerate(p):
+                g = np.exp(-((self.X - mu) ** 2) / (2.0 * sig**2))
+                model += a * g
+                jac[:, 3 * k] = g
+                jac[:, 3 * k + 1] = a * g * (self.X - mu) / sig**2
+                jac[:, 3 * k + 2] = a * g * (self.X - mu) ** 2 / sig**3
+            assert gaussian_sum(self.X, p.ravel()).tobytes() == model.tobytes()
+            assert jacobian(self.X, p.ravel()).tobytes() == jac.tobytes()
+
+    def test_terms_copy_params(self):
+        # the solver hands the model a buffer it overwrites later, so
+        # terms kept between calls must not view it
+        p = np.array([100.0, 1.0, 0.1, 20.0, 2.0, 0.2])
+        for term in hg._gaussian_terms(self.X, p):
+            assert not np.shares_memory(term, p)
 
 
 class TestQuality:
