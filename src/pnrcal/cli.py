@@ -2,7 +2,8 @@
 
 Config files use INI syntax (key = value under [section] headers); see the
 README for the documented keys.  Exit codes are stable: 0 success, 2
-usage/config error, 3 fit failure, 4 uninformative estimator bin.  All
+usage/config error (a path that cannot be read or written included), 3 fit
+failure, 4 uninformative estimator bin.  All
 diagnostics go to stderr as single-line key=value pairs.
 """
 
@@ -125,12 +126,15 @@ def _amplitude_path(sec, tag: str) -> tuple[str, Path]:
     return ("amplitudes" if key == amp_key else "histogram", path)
 
 
-def _fit_counts(side: str, kind: str, path: Path, n_bins: int, n_peaks: int):
+def _read_histogram(source: tuple[str, Path], n_bins: int) -> hg.AmplitudeHistogram:
+    """The histogram of one side's input: amplitudes binned, or read as is."""
+    kind, path = source
     if kind == "amplitudes":
-        samples = sim.load_amplitudes(path)
-        hist = hg.build_histogram(samples, n_bins)
-    else:
-        hist = hg.load_histogram_csv(path)
+        return hg.build_histogram(sim.load_amplitudes(path), n_bins)
+    return hg.load_histogram_csv(path)
+
+
+def _fit_counts(side: str, hist: hg.AmplitudeHistogram, n_peaks: int):
     counts, fit, peaks_used = hg.robust_peak_counts(hist, n_peaks)
     ratio = fit.quality.ratio
     if not ratio <= MAX_QUALITY_RATIO:
@@ -158,10 +162,14 @@ def _run_calibration(args) -> reports.CalibrationResult:
         if "inputs" not in parser:
             raise ConfigError("missing [inputs] section")
         sec = parser["inputs"]
-        on_kind, on_path = _amplitude_path(sec, "on")
-        off_kind, off_path = _amplitude_path(sec, "off")
-        on, q_on = _fit_counts("on", on_kind, on_path, n_bins, n_peaks)
-        off, q_off = _fit_counts("off", off_kind, off_path, n_bins, n_peaks)
+        # the OFF input is read and binned in a forked child meanwhile
+        on_hist, off_hist = sim.both_sides(
+            lambda source: _read_histogram(source, n_bins),
+            _amplitude_path(sec, "on"),
+            _amplitude_path(sec, "off"),
+        )
+        on, q_on = _fit_counts("on", on_hist, n_peaks)
+        off, q_off = _fit_counts("off", off_hist, n_peaks)
         fit_quality = {"on": q_on, "off": q_off}
 
     covariance = None
@@ -194,7 +202,7 @@ def cmd_fit(args) -> int:
     try:
         hist = hg.load_histogram_csv(args.histogram)
         fit = hg.fit_mixture(hist, args.peaks)
-    except (DomainError, ConfigError, OSError) as exc:
+    except (DomainError, ConfigError) as exc:
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
     except (FitFailureError, InitializationError) as exc:
         return _fail(EXIT_FIT, error="fit", detail=_oneline(exc))
@@ -326,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # a path that cannot be read or written, in any command
+        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
 
 
 if __name__ == "__main__":

@@ -449,17 +449,75 @@ def closure_test(
     )
 
 
+def both_sides(fn, on, off):
+    """(fn(on), fn(off)), with fn(off) run in a forked child process.
+
+    The child inherits `off` through fork, so nothing large is pickled;
+    it sends back only its result, or the exception it raised, which is
+    raised again here.  The child is always joined, also when fn(on)
+    raises, and when both halves fail the error of fn(on) wins.  A child
+    that ends without a result raises OSError naming its exit code.
+    Needs POSIX fork.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_outcome, args=(send, fn, off))
+    child.start()
+    send.close()
+    try:
+        on_result = fn(on)
+        try:
+            ok, off_result = receive.recv()
+        except EOFError:
+            child.join()
+            raise OSError(
+                f"the process for the off side exited with code {child.exitcode} "
+                "and no result"
+            ) from None
+    finally:
+        receive.close()
+        child.join()
+    if not ok:
+        raise off_result
+    return on_result, off_result
+
+
+def _send_outcome(send, fn, arg) -> None:
+    """The child of `both_sides`: send (True, fn(arg)) or (False, its exception)."""
+    try:
+        outcome = (True, fn(arg))
+    except Exception as exc:  # raised again in the parent
+        outcome = (False, exc)
+    try:
+        send.send(outcome)
+    except BrokenPipeError:
+        pass  # the parent's own half raised, and it no longer listens
+
+
+def _write_amplitudes(path, amps: np.ndarray) -> None:
+    """One `amplitude` CSV, one repr per line, written 2**16 values at a
+    time to bound memory."""
+    with open(path, "w") as fh:
+        fh.write("amplitude\n")
+        for start in range(0, amps.size, 2**16):
+            block = amps[start : start + 2**16].tolist()
+            fh.write("\n".join(map(repr, block)) + "\n")
+
+
 def save_run(run: RawRun, config: ExperimentConfig, out_dir) -> None:
-    """Persist on.csv / off.csv (column `amplitude`, one repr per line,
-    written 2**16 values at a time to bound memory) and truth.json."""
+    """Persist on.csv / off.csv (column `amplitude`, one repr per line) and
+    truth.json.  off.csv is written in a forked child process while this
+    one writes on.csv (`both_sides`); an OSError of either file is raised
+    here, that of on.csv first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, amps in (("on.csv", run.on_amplitudes), ("off.csv", run.off_amplitudes)):
-        with open(out / name, "w") as fh:
-            fh.write("amplitude\n")
-            for start in range(0, amps.size, 2**16):
-                block = amps[start : start + 2**16].tolist()
-                fh.write("\n".join(map(repr, block)) + "\n")
+    both_sides(
+        lambda target: _write_amplitudes(*target),
+        (out / "on.csv", run.on_amplitudes),
+        (out / "off.csv", run.off_amplitudes),
+    )
     truth = {
         "config": dataclasses.asdict(config),
         "tallies": dataclasses.asdict(run.tallies),

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,10 +17,19 @@ from pnrcal.cli import (
     EXIT_OK,
     EXIT_UNINFORMATIVE,
     MAX_QUALITY_RATIO,
+    _run_calibration,
+    build_parser,
     main,
 )
-from pnrcal.histogram import AmplitudeHistogram, build_histogram, save_histogram_csv
-from pnrcal.reports import strip_timestamps
+from pnrcal.histogram import (
+    AmplitudeHistogram,
+    build_histogram,
+    robust_peak_counts,
+    save_histogram_csv,
+)
+from pnrcal.model import HeraldPurity
+from pnrcal.reports import calibrate_counts, strip_timestamps
+from pnrcal.simulator import load_amplitudes
 
 TABLE_COUNTS = """\
 [herald]
@@ -103,6 +113,29 @@ class TestSimulate:
         cfg = write(tmp_path, "exp.ini", EXPERIMENT + "rep_period_us = 5.0\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
         assert "pile-up" in capsys.readouterr().err
+
+
+    def test_unwritable_out_exit_2(self, tmp_path):
+        # an --out that is a file, and an off.csv that is a directory (the
+        # OFF file is written by a child process): one stderr line each
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT.replace("20000", "2000"))
+        cal = write(tmp_path, "cal.ini", TABLE_COUNTS)
+        (tmp_path / "run" / "off.csv").mkdir(parents=True)
+        cases = (
+            (["simulate", exp, "--out", cal], cal),
+            (["simulate", exp, "--out", "run"], "off.csv"),
+            (["calibrate", cal, "--bypass-fit", "--out", exp], exp),
+        )
+        for argv, path in cases:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "pnrcal.cli", *argv],
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_CONFIG, (argv, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error=config detail="), lines
+            assert path in lines[0]
 
 
 class TestNoScipyWithoutFit:
@@ -318,6 +351,53 @@ class TestCalibrateEndToEnd:
             code = main(["calibrate", cal, "--out", str(tmp_path / "rep")])
             assert code == EXIT_CONFIG
             assert "error=config" in capsys.readouterr().err
+
+
+    def test_malformed_off_csv_exit_2(self, tmp_path, capfd):
+        # the OFF input is read in a child process; its error comes out here
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT)
+        assert main(["simulate", exp, "--out", str(tmp_path / "run")]) == EXIT_OK
+        capfd.readouterr()
+        on = tmp_path / "run" / "on.csv"
+        off = write(tmp_path, "off.csv", "amplitude\n0.1\nabc\n")
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            f"[herald]\nxi = 0.95\n\n[inputs]\non_amplitudes = {on}\noff_amplitudes = {off}\n",
+        )
+        assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=config"), lines
+        assert f"{off}: line 3" in lines[0]
+        assert multiprocessing.active_children() == []
+
+    def test_equals_serial_chain_bit_for_bit(self, tmp_path):
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT)
+        assert main(["simulate", exp, "--out", str(tmp_path / "run")]) == EXIT_OK
+        paths = {side: tmp_path / "run" / f"{side}.csv" for side in ("on", "off")}
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            "[herald]\nxi = 0.95\nu_xi = 1e-4\n\n[inputs]\n"
+            f"on_amplitudes = {paths['on']}\noff_amplitudes = {paths['off']}\n\n"
+            "[fit]\nn_peaks = 3\nbins = 200\n",
+        )
+        result = _run_calibration(build_parser().parse_args(["calibrate", cal]))
+        assert multiprocessing.active_children() == []
+
+        counts = {}
+        for side, path in paths.items():
+            hist = build_histogram(load_amplitudes(path), 200)
+            counts[side], _, _ = robust_peak_counts(hist, 3)
+        serial = calibrate_counts(counts["on"], counts["off"], HeraldPurity(0.95, 1e-4))
+
+        assert result.estimates == serial.estimates
+        assert result.combined == serial.combined
+        assert result.budgets.keys() == serial.budgets.keys()
+        for name, budget in serial.budgets.items():
+            got = result.budgets[name]
+            assert (got.names, got.combined) == (budget.names, budget.combined)
+            assert got.contributions.tobytes() == budget.contributions.tobytes()
 
 
 class TestFitQualityGate:

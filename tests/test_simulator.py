@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from pnrcal.simulator import (
     RawRun,
     RunTallies,
     _closure_single,
+    both_sides,
     closure_test,
     dark_rate_for_purity,
     load_amplitudes,
@@ -430,9 +433,61 @@ class TestPersistence:
                 golden = "amplitude\n" + "".join(f"{a!r}\n" for a in amps.tolist())
                 assert (tmp_path / name).read_bytes() == golden.encode(), (name, n)
 
+    def test_off_csv_directory_raises(self, tmp_path):
+        (tmp_path / "off.csv").mkdir()
+        cfg = make_config(n_pulses=5_000)
+        with pytest.raises(IsADirectoryError, match="off.csv"):
+            save_run(simulate_run(cfg), cfg, tmp_path)
+        assert multiprocessing.active_children() == []
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text in ("volts\n0.1\n", "amplitude\n0.1\n\nabc\n"):
             path.write_text(text)
             with pytest.raises(DomainError):
                 load_amplitudes(path)
+
+
+class Unpicklable:
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("pickled")
+
+
+def _fail_with(side):
+    raise DomainError(f"{side} failed")
+
+
+def _fail_late(side):
+    if side == "off":
+        time.sleep(0.3)  # still running when the ON half has failed
+    _fail_with(side)
+
+
+class TestBothSides:
+    def test_off_runs_in_a_child(self):
+        on, off = both_sides(lambda _: os.getpid(), None, None)
+        assert on == os.getpid() and off != on
+        assert multiprocessing.active_children() == []
+
+    def test_off_is_not_pickled(self):
+        # fork hands `off` over; only the result crosses the pipe
+        assert both_sides(lambda x: x.value, Unpicklable(1), Unpicklable(2)) == (1, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_off_error_raised_here(self):
+        with pytest.raises(DomainError, match="off failed"):
+            both_sides(lambda side: side if side == "on" else _fail_with(side), "on", "off")
+        assert multiprocessing.active_children() == []
+
+    def test_on_error_wins(self):
+        with pytest.raises(DomainError, match="on failed"):
+            both_sides(_fail_late, "on", "off")
+        assert multiprocessing.active_children() == []
+
+    def test_child_without_result_raises_oserror(self):
+        with pytest.raises(OSError, match="off side exited with code 7"):
+            both_sides(lambda side: side if side == "on" else os._exit(7), "on", "off")
+        assert multiprocessing.active_children() == []
