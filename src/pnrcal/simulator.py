@@ -470,17 +470,16 @@ def both_sides(fn, on, off):
         on_result = fn(on)
         try:
             ok, off_result = receive.recv()
-        except EOFError:
-            child.join()
-            raise OSError(
-                f"the process for the off side exited with code {child.exitcode} "
-                "and no result"
-            ) from None
+        except EOFError:  # the child ended without sending
+            ok, off_result = False, None
     finally:
         receive.close()
         child.join()
     if not ok:
-        raise off_result
+        raise off_result or OSError(
+            f"the process for the off side exited with code {child.exitcode} "
+            "and no result"
+        )
     return on_result, off_result
 
 

@@ -114,7 +114,6 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
         assert "pile-up" in capsys.readouterr().err
 
-
     def test_unwritable_out_exit_2(self, tmp_path):
         # an --out that is a file, and an off.csv that is a directory (the
         # OFF file is written by a child process): one stderr line each
@@ -351,7 +350,6 @@ class TestCalibrateEndToEnd:
             code = main(["calibrate", cal, "--out", str(tmp_path / "rep")])
             assert code == EXIT_CONFIG
             assert "error=config" in capsys.readouterr().err
-
 
     def test_malformed_off_csv_exit_2(self, tmp_path, capfd):
         # the OFF input is read in a child process; its error comes out here
