@@ -2,7 +2,7 @@
 """End-to-end closure test at published-experiment scale.
 
 Simulates the full pipeline (pulse generation, amplitude histograms,
-mixture fits, estimators, budgets) over independent seeds and scores the
+comb-window counts, estimators, budgets) over independent seeds and scores the
 pull distribution of each efficiency estimator.  Unit pull variance means
 the claimed uncertainties are calibrated.
 """

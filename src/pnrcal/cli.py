@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_UNINFORMATIVE = 4
-# largest fit chi2/TSS ratio `calibrate` accepts (ACCEPTANCE 7b); good fits sit near 1e-8
-MAX_QUALITY_RATIO = 1e-4
 
 
 def _fail(code: int, **kv) -> int:
@@ -134,15 +132,6 @@ def _read_histogram(source: tuple[str, Path], n_bins: int) -> hg.AmplitudeHistog
     return hg.load_histogram_csv(path)
 
 
-def _fit_counts(side: str, hist: hg.AmplitudeHistogram, n_peaks: int):
-    counts, fit, peaks_used = hg.robust_peak_counts(hist, n_peaks)
-    ratio = fit.quality.ratio
-    if not ratio <= MAX_QUALITY_RATIO:
-        detail = f"{side} fit quality ratio {ratio:.3g} > {MAX_QUALITY_RATIO:g}"
-        raise FitFailureError(detail, side=side, reason="quality")
-    return counts, {**dataclasses.asdict(fit.quality), "peaks_used": peaks_used}
-
-
 def _run_calibration(args) -> reports.CalibrationResult:
     parser = _read_ini(args.config)
     xi = _herald_purity(parser)
@@ -168,9 +157,7 @@ def _run_calibration(args) -> reports.CalibrationResult:
             _amplitude_path(sec, "on"),
             _amplitude_path(sec, "off"),
         )
-        on, q_on = _fit_counts("on", on_hist, n_peaks)
-        off, q_off = _fit_counts("off", off_hist, n_peaks)
-        fit_quality = {"on": q_on, "off": q_off}
+        on, off, fit_quality = hg.count_photons(on_hist, off_hist, n_peaks)
 
     covariance = None
     if args.covariance:
@@ -239,7 +226,7 @@ def cmd_calibrate(args) -> int:
     except (ConfigError, DomainError, configparser.Error) as exc:
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
     except FitFailureError as exc:
-        # robust_peak_counts turns a failed seeding into FitFailureError
+        # a failed comb fit, or a gate on it, with its side and reason keys
         return _fail(EXIT_FIT, error="fit", **exc.keys, detail=_oneline(exc))
     args.write_reports(result, reports.ensure_dir(args.out))
     return EXIT_OK

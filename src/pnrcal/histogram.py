@@ -1,10 +1,10 @@
-"""Pulse-amplitude histograms and Gaussian-mixture peak fitting.
+"""Pulse-amplitude histograms, Gaussian-mixture fits and comb-window counts.
 
 The amplitude spectrum of a photon-number-resolving detector shows one
-Gaussian peak per detected photon number.  Fitting the sum of Gaussians
-A_i * exp(-(x - x_i)^2 / (2 sigma_i^2)) to the binned spectrum and
-integrating each peak yields the per-photon-number event counts that feed
-the efficiency estimators.
+Gaussian peak per detected photon number.  `fit_mixture` fits a sum of
+Gaussians A_i * exp(-(x - x_i)^2 / (2 sigma_i^2)) to the binned spectrum.
+`count_photons` counts the events between the midpoints of an equally spaced
+comb that a fit of the n=0 and n=1 peaks places, and unfolds the spill-over.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,10 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 FTOL = 1e-10
 MAX_ITER = 200
 MIN_PEAK_SEPARATION_BINS = 3
+# largest comb-fit chi2/TSS ratio (ACCEPTANCE 7b); good fits sit near 1e-8
+MAX_QUALITY_RATIO = 1e-4
+# smallest comb spacing in n=1 widths: window counts hold at 6.7, fail at 5
+MIN_COMB_SEPARATION = 6.0
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,15 @@ def gaussian_sum(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     return (a * g).sum(axis=0)
 
 
+def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """(peaks, edges + 1) mass of each Gaussian below edges[0], between
+    consecutive edges and above edges[-1]; each row sums to one."""
+    from scipy.special import ndtr
+
+    z = (edges - centers[:, None]) / widths[:, None]
+    return np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0)
+
+
 def build_histogram(
     samples,
     n_bins: int,
@@ -223,17 +236,16 @@ def _seed_from_maxima(hist: AmplitudeHistogram, n_peaks: int) -> np.ndarray:
     chosen.sort()
     params = []
     for j in chosen:
-        # half-width at half maximum around the candidate bin
-        half = counts[j] / 2.0
-        r = j
-        while r < counts.size - 1 and counts[r] > half:
-            r += 1
-        l = j
-        while l > 0 and counts[l] > half:
-            l -= 1
-        sigma = max((r - l) * hist.bin_width / 2.355, hist.bin_width)
-        params.extend([counts[j], centers[j], sigma])
+        params.extend([counts[j], centers[j], _half_width_sigma(hist, j)])
     return np.array(params)
+
+
+def _half_width_sigma(hist: AmplitudeHistogram, j: int) -> float:
+    """Sigma from the half-width at half maximum around bin j, at least one bin."""
+    low = np.flatnonzero(hist.counts <= hist.counts[j] / 2.0)
+    r = low[low > j].min(initial=hist.counts.size - 1)
+    l = low[low < j].max(initial=0)
+    return max((r - l) * hist.bin_width / 2.355, hist.bin_width)
 
 
 def fit_mixture(
@@ -453,51 +465,83 @@ def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:
     return CountVector(np.array(counts), np.array(uncs))
 
 
-def robust_peak_counts(
-    hist: AmplitudeHistogram,
-    n_peaks: int,
-    init: list[GaussianPeak] | None = None,
-) -> tuple[CountVector, MixtureFit, int]:
-    """Peak counts with automatic support truncation.
+def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, dict]:
+    """Counts of photon numbers 0 .. n_windows - 1, with their covariance,
+    from comb windows, and the diagnostics of the comb.
 
-    Peaks whose population is too small to resolve collapse to sub-bin
-    spikes, which `fit_mixture` rejects; when the fit fails, or a peak
-    drifts more than half the smallest seed spacing from its `init`, retry
-    with one peak fewer and report zero counts (zero uncertainty) for the
-    dropped photon numbers.  Returns the padded counts, the accepted fit
-    and the number of peaks actually fitted.
+    The comb is x_n = x0 + n g, sigma_n^2 = sigma_0^2 + n (sigma_1^2 -
+    sigma_0^2), from a 2-peak `fit_mixture` seeded at the tallest bin and at
+    the tallest bin more than 4 sigma_0 above it.  Windows end at the comb
+    midpoints; bins go by their centres, underflow to the first window and
+    overflow to the last.  With C the window counts and M[w, n] the mass of
+    photon number n in window w, N = M^-1 C with covariance M^-1 diag(C) M^-T
+    over the non-empty windows; an empty window has count and variance 0.
+    FitFailureError's `reason` is "seed" (nothing seeds n=1), "quality" (the
+    chi2/TSS ratio over the n=0 and n=1 windows exceeds MAX_QUALITY_RATIO),
+    "overlap" (g < MIN_COMB_SEPARATION sigma_1), "comb" or "negative_count".
     """
-    max_drift = math.inf
-    if init is not None and len(init) > 1:
-        centers = sorted(p.center for p in init)
-        max_drift = 0.5 * min(b - a for a, b in zip(centers, centers[1:]))
-    k = n_peaks
-    # keep the message, not the exception: its traceback would tie the
-    # caller's frames, and the arrays they hold, into a reference cycle
-    last_error = None
-    while k >= 1:
+    if n_windows < 1:
+        raise DomainError("need at least one window")
+    counts, x = hist.counts, hist.bin_centers
+    j0 = int(np.argmax(counts))
+    sigma0 = _half_width_sigma(hist, j0)
+    above = np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0)
+    j1 = int(np.argmax(above))
+    if not above[j1] > 0:
+        raise FitFailureError(f"no counts 4 sigma above n=0 at {x[j0]:.4g}", reason="seed")
+    # auto-seeding by prominence can put both seeds inside a tall n=0 peak
+    init = [GaussianPeak(counts[j], x[j], sigma0) for j in (j0, j1)]
+    params = fit_mixture(hist, 2, init=init).parameters
+    (_, x0, s0), (_, x1, s1) = params.reshape(2, 3)
+    g, n = x1 - x0, np.arange(n_windows)
+    centers, variances = x0 + n * g, s0**2 + n * (s1**2 - s0**2)
+    # the first bin of windows 1 .. n_windows - 1: centre at or past the midpoint
+    first = np.searchsorted(x, centers[:-1] + 0.5 * g)
+    # the two fitted peaks describe the bins counted as n=0 or n=1, not the rest
+    stop = first[1] if n_windows > 2 else counts.size
+    quality = _quality(params, AmplitudeHistogram(hist.bin_edges[:stop + 1], counts[:stop]), 2)
+    if not quality.ratio <= MAX_QUALITY_RATIO:
+        detail = f"fit quality ratio {quality.ratio:.3g} > {MAX_QUALITY_RATIO:g}"
+        raise FitFailureError(detail, reason="quality")
+    if not g >= MIN_COMB_SEPARATION * s1:
+        detail = f"peaks overlap: g = {g:.4g} is {g / s1:.3g} sigma_1 < {MIN_COMB_SEPARATION:g}"
+        raise FitFailureError(detail, reason="overlap")
+    if not np.all(variances > 0):
+        detail = f"comb widths not positive: sigma_0 = {s0:.4g}, sigma_1 = {s1:.4g}"
+        raise FitFailureError(detail, reason="comb")
+    window = np.diff(np.concatenate([[0.0], np.cumsum(counts)])[np.r_[0, first, counts.size]])
+    window[0] += hist.n_underflow
+    window[-1] += hist.n_overflow
+    mixing = gaussian_cells(hist.bin_edges[first], centers, np.sqrt(variances)).T
+    full = np.flatnonzero(window)
+    inverse = np.linalg.inv(mixing[np.ix_(full, full)])
+    unfolded, covariance = np.zeros(n_windows), np.zeros((n_windows, n_windows))
+    unfolded[full] = inverse @ window[full]
+    covariance[np.ix_(full, full)] = (inverse * window[full]) @ inverse.T
+    if np.any(unfolded < 0):
+        w = int(np.argmin(unfolded))
+        detail = f"negative unfolded count {unfolded[w]:.4g} at n={w}"
+        raise FitFailureError(f"{detail} (window count {window[w]:g})", reason="negative_count")
+    diagnostics = dict(asdict(quality), x0=x0, g=g, sigma0=s0, sigma1=s1,
+                       window_edges=hist.bin_edges[first].tolist(),
+                       condition_number=float(np.linalg.cond(mixing)))
+    return CountVector(unfolded, np.sqrt(np.diag(covariance)), covariance), diagnostics
+
+
+def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):
+    """`comb_counts` of the ON and OFF spectra, with the trailing windows
+    empty on both sides (count 0 on both) dropped: (on counts, off counts,
+    {side: diagnostics}).  A side's FitFailureError is raised with a `side` key."""
+    counts, diagnostics = {}, {}
+    for side, hist in (("on", on), ("off", off)):
         try:
-            fit = fit_mixture(hist, k, init=init[:k] if init else None)
-        except (FitFailureError, InitializationError, DomainError) as exc:
-            last_error = str(exc)
-            k -= 1
-            continue
-        # photon-number assignment is by center order, so a peak that
-        # wandered off its seeded position means a junk component
-        if init is not None and any(
-            abs(p.center - q.center) > max_drift
-            for p, q in zip(fit.peaks, init)
-        ):
-            last_error = "fitted peak drifted from its seed"
-            k -= 1
-            continue
-        raw = extract_counts(fit, hist.bin_width)
-        counts = np.zeros(n_peaks)
-        uncs = np.zeros(n_peaks)
-        counts[:k] = raw.counts
-        uncs[:k] = raw.uncertainties
-        return CountVector(counts, uncs), fit, k
-    raise FitFailureError(f"no usable mixture fit down to one peak: {last_error}")
+            counts[side], diagnostics[side] = comb_counts(hist, n_windows)
+        except FitFailureError as exc:
+            raise FitFailureError(f"{side} {exc}", side=side, **exc.keys) from None
+    k = 1 + int(np.flatnonzero(counts["on"].counts + counts["off"].counts).max())
+    on, off = (CountVector(c.counts[:k], c.uncertainties[:k], c.covariance[:k, :k])
+               for c in counts.values())
+    return on, off, diagnostics
 
 
 def save_histogram_csv(hist: AmplitudeHistogram, path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import histogram as hg
 from .errors import ConfigError, DomainError
-from .model import CountVector, HeraldStats, estimate_names, estimate_xi
+from .model import HeraldStats, estimate_names, estimate_xi
 from .reports import calibrate_counts
 
 
@@ -191,13 +191,8 @@ def _draw_histogram(
     """Bin the amplitudes of counts_by_n gates without drawing them: one
     multinomial per photon number over [underflow, bins, overflow], with
     Gaussian-CDF differences at the edges as the cell probabilities."""
-    from scipy.special import ndtr
-
     n = np.flatnonzero(counts_by_n)
-    cdf = ndtr(
-        (edges - config.peak_center(n)[:, None]) / config.peak_width(n)[:, None]
-    )
-    cells = np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+    cells = hg.gaussian_cells(edges, config.peak_center(n), config.peak_width(n))
     drawn = rng.multinomial(counts_by_n[n], cells).sum(axis=0)
     if not drawn[1:-1].any():
         raise DomainError("no samples inside the requested range")
@@ -322,51 +317,14 @@ class ClosureReport:
 
 
 def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
-    """One seed of the full pipeline: simulate, fit, extract, then
-    `calibrate_counts`.  Returns {name: (value, u)} for each estimate it
-    reports, and for its weighted mean."""
-    lo = min(config.peak_centers) - 6.0 * max(config.peak_widths)
-    hi = (
-        float(config.peak_center(np.array([max_index]))[0])
-        + 6.0 * max(config.peak_widths)
-    )
+    """One seed of the full pipeline: simulate, `count_photons`, then
+    `calibrate_counts`, as `pnrcal calibrate` does.  Returns {name: (value,
+    u)} for each estimate it reports, and for its weighted mean."""
+    pad = 6.0 * max(config.peak_widths)
+    lo, hi = min(config.peak_centers) - pad, float(config.peak_center(max_index)) + pad
     on_hist, off_hist, _ = simulate_histograms(config, n_bins, (lo, hi))
-    n_peaks = max_index + 1
-    init_centers = config.peak_center(np.arange(n_peaks)).astype(float)
-    init_widths = config.peak_width(np.arange(n_peaks)).astype(float)
-
-    stats = simulate_herald_stats(config, dark_rate_for_purity(config))
-    xi = estimate_xi(stats)
-    counts = {}
-    for tag, hist in (("on", on_hist), ("off", off_hist)):
-        init = [
-            hg.GaussianPeak(
-                amplitude=max(
-                    float(
-                        hist.counts[
-                            min(
-                                int((c - lo) / hist.bin_width),
-                                hist.counts.size - 1,
-                            )
-                        ]
-                    ),
-                    1.0,
-                ),
-                center=float(c),
-                sigma=float(w),
-            )
-            for c, w in zip(init_centers, init_widths)
-        ]
-        counts[tag], _, _ = hg.robust_peak_counts(hist, n_peaks, init=init)
-
-    # a photon number that neither fit kept is skipped for this seed: the
-    # bins up to the highest one with counts give the same sums, and so the
-    # same estimates, as all n_peaks would
-    k = 1 + int(np.flatnonzero(counts["on"].counts + counts["off"].counts).max())
-    on, off = (
-        CountVector(c.counts[:k], c.uncertainties[:k])
-        for c in (counts["on"], counts["off"])
-    )
+    xi = estimate_xi(simulate_herald_stats(config, dark_rate_for_purity(config)))
+    on, off, _ = hg.count_photons(on_hist, off_hist, max_index + 1)
     result = calibrate_counts(on, off, xi)
     scored = {name: (e.gamma, e.u_gamma) for name, e in result.estimates.items()}
     scored["weighted_mean"] = (result.combined.gamma, result.combined.u_gamma)
@@ -417,14 +375,10 @@ def closure_test(
 
     estimators = []
     for name in estimate_names(max_index + 1) + ["weighted_mean"]:
-        vals = np.array(
-            [r[name][0] for r in per_seed if r is not None and name in r]
-        )
-        if not vals.size:
+        scored = np.array([r[name] for r in per_seed if r is not None and name in r])
+        if not scored.size:
             continue  # no seed scored it: nothing to report
-        us = np.array(
-            [r[name][1] for r in per_seed if r is not None and name in r]
-        )
+        vals, us = scored.T
         ok = us > 0
         pulls = (vals[ok] - config.gamma_true) / us[ok]
         estimators.append(

@@ -97,13 +97,18 @@ def counting_inputs(
     covariance: np.ndarray | None = None,
 ) -> InputVector:
     """Pack ON counts, OFF counts and the herald purity into one vector,
-    with an optional full covariance in the same order."""
+    with an optional full covariance in the same order; without one, the
+    covariances of the two count vectors, when both have one, are used."""
     if on.counts.size != off.counts.size:
         raise DomainError("ON and OFF count vectors must share length")
     k = on.counts.size
     names = [f"C_on_{i}" for i in range(k)] + [f"C_off_{i}" for i in range(k)] + ["xi"]
     values = np.concatenate([on.counts, off.counts, [xi.xi]])
     u = np.concatenate([on.uncertainties, off.uncertainties, [xi.u_xi]])
+    if covariance is None and on.covariance is not None and off.covariance is not None:
+        covariance = np.diag(u**2)
+        covariance[:k, :k] = on.covariance
+        covariance[k:-1, k:-1] = off.covariance
     return InputVector(tuple(names), values, u, covariance)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -16,20 +17,21 @@ from pnrcal.cli import (
     EXIT_FIT,
     EXIT_OK,
     EXIT_UNINFORMATIVE,
-    MAX_QUALITY_RATIO,
     _run_calibration,
     build_parser,
     main,
 )
 from pnrcal.histogram import (
+    MAX_QUALITY_RATIO,
+    MIN_COMB_SEPARATION,
     AmplitudeHistogram,
     build_histogram,
-    robust_peak_counts,
+    count_photons,
     save_histogram_csv,
 )
-from pnrcal.model import HeraldPurity
+from pnrcal.model import HeraldPurity, HeraldStats, estimate_xi
 from pnrcal.reports import calibrate_counts, strip_timestamps
-from pnrcal.simulator import load_amplitudes
+from pnrcal.simulator import ExperimentConfig, load_amplitudes, save_run, simulate_run
 
 TABLE_COUNTS = """\
 [herald]
@@ -315,6 +317,15 @@ class TestCalibrateEndToEnd:
         g0 = doc["estimates"]["gamma0"]
         assert abs(g0["fraction"] - 0.3) < 4 * g0["u_fraction"]
         assert doc["fit_quality"]["on"]["ratio"] < 1e-2
+        # the comb that placed the windows, for each side
+        for side in ("on", "off"):
+            comb = doc["fit_quality"][side]
+            assert abs(comb["x0"]) < 0.01 and abs(comb["g"] - 1.0) < 0.01
+            assert 0.07 < comb["sigma0"] < 0.09 and 0.07 < comb["sigma1"] < 0.09
+            assert len(comb["window_edges"]) == 3
+            assert 1.0 <= comb["condition_number"] < 1.01
+            assert "peaks_used" not in comb
+        assert doc["inputs"]["has_covariance"]
 
     def test_inputs_reports_identical_across_processes(self, tmp_path):
         # ACCEPTANCE 9's run, calibrated with [inputs] in two interpreters
@@ -383,11 +394,12 @@ class TestCalibrateEndToEnd:
         result = _run_calibration(build_parser().parse_args(["calibrate", cal]))
         assert multiprocessing.active_children() == []
 
-        counts = {}
-        for side, path in paths.items():
-            hist = build_histogram(load_amplitudes(path), 200)
-            counts[side], _, _ = robust_peak_counts(hist, 3)
-        serial = calibrate_counts(counts["on"], counts["off"], HeraldPurity(0.95, 1e-4))
+        on, off = (build_histogram(load_amplitudes(paths[side]), 200) for side in ("on", "off"))
+        on_counts, off_counts, diagnostics = count_photons(on, off, 3)
+        serial = calibrate_counts(on_counts, off_counts, HeraldPurity(0.95, 1e-4))
+
+        assert result.fit_quality == diagnostics
+        assert result.inputs.covariance.tobytes() == serial.inputs.covariance.tobytes()
 
         assert result.estimates == serial.estimates
         assert result.combined == serial.combined
@@ -432,6 +444,74 @@ class TestFitQualityGate:
                 # the side and reason come as keys before the detail
                 keys = err.split(" detail=")[0].split()
                 assert keys == ["error=fit", "side=off", "reason=quality"]
+
+
+# the README [experiment] and [herald]
+README_EXPERIMENT = ExperimentConfig(
+    gamma_true=0.00709, xi_true=0.98794, herald_prob=0.5, background_mean=0.00286,
+    peak_centers=(0.0, 1.0, 2.0, 3.0), peak_widths=(0.08,) * 4,
+    n_pulses=2_200_000, seed=42,
+)
+README_HERALD = "[herald]\nn_on = 1000000\nn_off = 12060\n"
+
+
+class TestReadmePipeline:
+    """The README pipeline against gamma_true = 0.709 %: pulse-by-pulse
+    amplitudes, 200 bins, 3 photon numbers and the README [herald]."""
+
+    def test_small_scale_seed_42(self, tmp_path):
+        # 40k pulses: the free mixture fit took seconds and gave gamma0 = 98 %
+        cfg = dataclasses.replace(README_EXPERIMENT, n_pulses=40_000)
+        save_run(simulate_run(cfg), cfg, tmp_path / "run")
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            README_HERALD + "\n[inputs]\n"
+            f"on_amplitudes = {tmp_path / 'run' / 'on.csv'}\n"
+            f"off_amplitudes = {tmp_path / 'run' / 'off.csv'}\n\n"
+            "[fit]\nn_peaks = 3\nbins = 200\n",
+        )
+        result = _run_calibration(build_parser().parse_args(["calibrate", cal]))
+        g0 = result.estimates["gamma0"]
+        assert abs(g0.gamma - cfg.gamma_true) <= 5.0 * g0.u_gamma, g0
+
+    @pytest.mark.parametrize("seed", [42, 1234, 2550856185, 707658275])
+    def test_paper_scale_seeds(self, seed):
+        # the mixture fit split n=1 at 1234 and 2550856185, and failed
+        # its quality gate at 707658275
+        run = simulate_run(dataclasses.replace(README_EXPERIMENT, seed=seed))
+        on, off = (build_histogram(a, 200) for a in (run.on_amplitudes, run.off_amplitudes))
+        on_counts, off_counts, _ = count_photons(on, off, 3)
+        xi = estimate_xi(HeraldStats(n_on=1_000_000, n_off=12060))
+        estimates = calibrate_counts(on_counts, off_counts, xi).estimates
+        for name in ("gamma0", "gamma1", "gamma2"):
+            e = estimates[name]
+            assert abs(e.gamma - README_EXPERIMENT.gamma_true) <= 3.0 * e.u_gamma, (name, e)
+
+
+class TestOverlapGate:
+    def test_overlapping_peaks_exit_3(self, tmp_path, capsys):
+        # peaks 0.4 apart at sigma 0.08: 5 widths, where window counts fail
+        assert 5.0 < MIN_COMB_SEPARATION < 6.7
+        edges = np.linspace(-0.5, 1.5, 101)
+        paths = {}
+        for side, events in (("on", [40000, 10000]), ("off", [40000, 3000])):
+            cdf = ndtr((edges - 0.4 * np.arange(2)[:, None]) / 0.08)
+            counts = np.round(np.asarray(events, dtype=float) @ np.diff(cdf, axis=1))
+            paths[side] = tmp_path / f"{side}.csv"
+            save_histogram_csv(AmplitudeHistogram(edges, counts), paths[side])
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            "[herald]\nxi = 0.95\n\n[inputs]\n"
+            f"on_histogram = {paths['on']}\noff_histogram = {paths['off']}\n\n"
+            "[fit]\nn_peaks = 2\n",
+        )
+        assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err.split(" detail=")[0].split() == ["error=fit", "side=on", "reason=overlap"]
+        assert "peaks overlap" in err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestBudget:

@@ -14,11 +14,13 @@ from pnrcal.histogram import (
     AmplitudeHistogram,
     GaussianPeak,
     build_histogram,
+    comb_counts,
+    count_photons,
     extract_counts,
     fit_mixture,
+    gaussian_cells,
     gaussian_sum,
     load_histogram_csv,
-    robust_peak_counts,
     save_histogram_csv,
 )
 from pnrcal.simulator import ExperimentConfig, simulate_histograms, simulate_run
@@ -193,13 +195,11 @@ class TestFitMixture:
 
     def test_non_finite_start_raises_fit_failure(self):
         # an infinite amplitude makes every residual inf or NaN: a fit
-        # failure that robust_peak_counts handles, not a bare ValueError
+        # failure (exit 3 in `calibrate`), not a bare ValueError
         h = noisy_two_peak()
         init = [GaussianPeak(math.inf, 0.0, 0.1)]
         with pytest.raises(FitFailureError, match="not finite at the start"):
             fit_mixture(h, 1, init=init)
-        with pytest.raises(FitFailureError, match="no usable mixture fit"):
-            robust_peak_counts(h, 1, init=init)
 
     def test_covariance_shape_and_psd(self):
         h = noisy_two_peak()
@@ -323,49 +323,83 @@ class TestExtractCounts:
         assert 0.5 * math.sqrt(n1) < cv.uncertainties[1] < 2.0 * math.sqrt(n1)
 
 
-class TestRobustPeakCounts:
-    def test_degenerate_third_peak_truncated(self):
-        rng = np.random.default_rng(3)
-        samples = np.concatenate(
-            [rng.normal(0.0, 0.08, 100_000), rng.normal(1.0, 0.09, 800)]
-        )
-        h = build_histogram(samples, n_bins=200, amp_range=(-0.5, 2.5))
-        init = [
-            GaussianPeak(4000.0, 0.0, 0.08),
-            GaussianPeak(30.0, 1.0, 0.09),
-            GaussianPeak(1.0, 2.0, 0.10),
-        ]
-        cv, fit, used = robust_peak_counts(h, n_peaks=3, init=init)
-        assert len(cv.counts) == 3
-        assert used <= 3
-        if used < 3:
-            assert cv.counts[used:].tolist() == [0.0] * (3 - used)
-            assert cv.uncertainties[used:].tolist() == [0.0] * (3 - used)
+def comb_histogram(events, sigma, rounded=False, lo=-0.6, hi=2.6, n_bins=160):
+    """Expected contents of the bins and of under- and overflow for
+    photon numbers 0, 1, ... at 0, 1, ... with width sigma, holding
+    `events` each; `rounded` rounds every cell to whole events."""
+    edges = np.linspace(lo, hi, n_bins + 1)
+    n = np.arange(len(events), dtype=float)
+    cells = np.asarray(events, dtype=float) @ gaussian_cells(edges, n, np.full(n.size, sigma))
+    if rounded:
+        cells = np.round(cells)
+    return AmplitudeHistogram(edges, cells[1:-1], n_underflow=round(cells[0]),
+                              n_overflow=round(cells[-1]))
 
-    def test_runaway_component_dropped(self):
-        # no n=2 events: the third component runs off to ~1e154, which
-        # must be rejected as degenerate, not crash the covariance
-        edges = np.linspace(-0.48, 2.48, 201)
-        expected = sum(
-            n * np.diff(norm.cdf(edges, loc=c, scale=0.08))
-            for n, c in ((1095794, 0.0), (3164, 1.0))
-        )
-        counts = np.random.default_rng(261).poisson(expected).astype(float)
-        h = AmplitudeHistogram(edges, counts)
-        init = [
-            GaussianPeak(max(h.counts[int((c - edges[0]) / h.bin_width)], 1.0), c, 0.08)
-            for c in (0.0, 1.0, 2.0)
-        ]
-        cv, fit, used = robust_peak_counts(h, n_peaks=3, init=init)
-        assert used == 2
-        assert cv.counts[2] == 0.0
 
-    def test_healthy_fit_untouched(self):
-        h = noisy_two_peak()
-        cv, fit, used = robust_peak_counts(h, n_peaks=2)
-        assert used == 2
-        direct = extract_counts(fit_mixture(h, n_peaks=2), h.bin_width)
-        assert np.allclose(cv.counts, direct.counts, rtol=1e-9)
+class TestCombCounts:
+    def test_unfolds_spill_over(self):
+        # at 7.1 sigma spacing about 180 n=0 events fall in the n=1 window
+        events = (1e6, 5000.0, 50.0)
+        h = comb_histogram(events, 0.14)
+        in_n1_window = h.counts[(h.bin_centers > 0.5) & (h.bin_centers < 1.5)].sum()
+        assert in_n1_window - events[1] > 100
+        c, d = comb_counts(h, 3)
+        assert np.allclose(c.counts, events, rtol=1e-3, atol=0.5)
+        assert np.allclose(c.uncertainties**2, np.diag(c.covariance), rtol=1e-12)
+        assert np.allclose(c.covariance, c.covariance.T, rtol=0, atol=1e-9)
+        assert abs(d["x0"]) < 1e-3 and abs(d["g"] - 1.0) < 1e-3
+        assert np.allclose(d["window_edges"], [0.5, 1.5], rtol=1e-12)
+        assert 1.0 < d["condition_number"] < 1.01
+
+    def test_empty_window_has_zero_count_and_variance(self):
+        h = comb_histogram((1e6, 5000.0, 0.0), 0.08, rounded=True)
+        assert not h.counts[h.bin_centers > 1.5].any() and h.n_overflow == 0
+        c, _ = comb_counts(h, 3)
+        assert c.counts[2] == 0.0
+        assert not c.covariance[2].any() and not c.covariance[:, 2].any()
+
+    def test_under_and_overflow_go_to_the_end_windows(self):
+        h = comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True)
+        h = AmplitudeHistogram(h.bin_edges, h.counts, n_underflow=7, n_overflow=3)
+        c, _ = comb_counts(h, 3)
+        window = np.searchsorted([0.5, 1.5], h.bin_centers, side="right")
+        inside = np.bincount(window, weights=h.counts, minlength=3)
+        # at 12.5 sigma spacing the unfolded counts are the window counts
+        assert np.allclose(c.counts, inside + [7.0, 0.0, 3.0], rtol=1e-6)
+
+    def test_negative_unfolded_count_raises_with_side(self):
+        # the n=2 window holds 0.3 events against 0.9 spilled from n=1
+        off = comb_histogram((1e6, 5000.0, 0.0), 0.14)
+        counts = np.where(off.bin_centers > 1.5, 0.0, off.counts)
+        counts[np.argmin(np.abs(off.bin_centers - 2.0))] = 0.3
+        off = AmplitudeHistogram(off.bin_edges, counts, off.n_underflow, 0)
+        with pytest.raises(FitFailureError, match="negative unfolded count") as err:
+            count_photons(comb_histogram((1e6, 5000.0, 50.0), 0.14), off, 3)
+        assert str(err.value).startswith("off negative unfolded count")
+        assert err.value.keys == {"side": "off", "reason": "negative_count"}
+
+    def test_trailing_windows_empty_on_both_sides_dropped(self):
+        empty = comb_histogram((1e6, 5000.0, 0.0), 0.08, rounded=True)
+        full = comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True)
+        on, off, diagnostics = count_photons(empty, empty, 3)
+        assert on.counts.size == off.counts.size == 2
+        assert on.covariance.shape == (2, 2)
+        assert set(diagnostics) == {"on", "off"}
+        on, off, _ = count_photons(full, empty, 3)
+        assert on.counts.size == off.counts.size == 3 and off.counts[2] == 0.0
+
+    def test_n1_seeded_above_a_tall_n0(self):
+        # the README [experiment] at 40k pulses, first seed of root 7:
+        # seeding by prominence puts both peaks inside n=0
+        cfg = dataclasses.replace(PAPER_SCALE, n_pulses=40_000, seed=1201125462)
+        on, _, _ = simulate_histograms(cfg, 200, (-0.48, 2.48))
+        assert all(abs(p.center) < 0.01 for p in fit_mixture(on, 2).peaks)
+        _, d = comb_counts(on, 3)
+        assert abs(d["x0"]) < 0.01 and abs(d["g"] - 1.0) < 0.01
+
+    def test_no_window_rejected(self):
+        with pytest.raises(DomainError):
+            comb_counts(noisy_two_peak(), 0)
 
 
 # ACCEPTANCE 7a runs, and the README [experiment] at paper scale
@@ -423,11 +457,13 @@ def golden_fits():
 
 
 class TestFitGolden:
-    """Fit results frozen bit for bit, so that a faster model, Jacobian or
-    solver call that changes any iterate shows.  Frozen with numpy 2.4.6
-    and scipy 1.17.1 on x86-64 (OpenBLAS); another build of either may
-    move the last bits and need a refreeze.  Each entry is the sha256 of
-    `fit_digest` and the quality ratio in `float.hex`."""
+    """Fit results and the README seed's comb counts frozen bit for bit,
+    so that a faster model, Jacobian, solver call or unfolding that
+    changes any iterate shows.  Frozen with numpy 2.4.6 and scipy 1.17.1
+    on x86-64 (OpenBLAS); another build of either may move the last bits
+    and need a refreeze.  A FITS entry is the sha256 of `fit_digest` and
+    the quality ratio in `float.hex`; a COMB entry is the counts in
+    `float.hex` and the sha256 of their covariance."""
 
     FITS = {
         "7a seed 0": ("1505a29c5a48fd9c3aa16e971724b4c8a9d4f0d1704c7d5008e2881b85042330",
@@ -445,18 +481,14 @@ class TestFitGolden:
             "0x1.29a821aeac416p-23",
         ),
     }
-    ROBUST = {
+    COMB = {
         "on": (
-            2,
-            ["0x1.09e921fb840c8p+20", "0x1.4f207959d0b55p+13", "0x0.0p+0"],
-            ["0x1.2993134f4192bp+10", "0x1.d878aebe52f77p+6", "0x0.0p+0"],
-            "66c2523b0e3757b5ce94468e7a4868a4895390884422c1f0d75dc80cbc75e23a",
+            ["0x1.09fc1001346c5p+20", "0x1.520fff66ea0b8p+13", "0x1.dffffdbf9efe7p+4"],
+            "9d948365fecea148b45b79eecf83fdc0917385680884268e782e03f39638f212",
         ),
         "off": (
-            2,
-            ["0x1.0bbfadd339f18p+20", "0x1.921f0cc855760p+11", "0x0.0p+0"],
-            ["0x1.16179de0a3145p+10", "0x1.e214229e8f712p+5", "0x0.0p+0"],
-            "fbc47a720cf6ba7f5b45f4a053318b78bb55c28266022698c0a221dae48805ed",
+            ["0x1.0bba40013705dp+20", "0x1.7f1ffd925da95p+11", "0x1.fffffcb6ac5f7p+0"],
+            "6d0b4420b6133f5c746dd51170ad1fc1d248cf8be513dfd4e6454eb75fc37432",
         ),
     }
 
@@ -467,18 +499,14 @@ class TestFitGolden:
         }
         assert got == self.FITS
 
-    def test_robust_counts_drop_n2(self):
-        # seed 28 of SeedSequence root 7: both sides drop the n=2 peak
-        got = {}
-        for side, (hist, init) in zip(("on", "off"), paper_scale_sides(3821436085)):
-            cv, fit, used = robust_peak_counts(hist, 3, init=init)
-            got[side] = (
-                used,
-                [v.hex() for v in cv.counts],
-                [v.hex() for v in cv.uncertainties],
-                fit_digest(fit),
-            )
-        assert got == self.ROBUST
+    def test_comb_counts(self):
+        on, off = (hist for hist, _ in paper_scale_sides(42))
+        got = {
+            side: ([v.hex() for v in c.counts],
+                   hashlib.sha256(c.covariance.tobytes()).hexdigest())
+            for side, c in zip(("on", "off"), count_photons(on, off, 3)[:2])
+        }
+        assert got == self.COMB
 
 
 class TestCsvRoundTrip:

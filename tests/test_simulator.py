@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -28,9 +29,8 @@ from pnrcal.simulator import (
     simulate_run,
 )
 from pnrcal import histogram as hg
-from pnrcal.histogram import build_histogram, robust_peak_counts
+from pnrcal.histogram import build_histogram, count_photons
 from pnrcal.model import (
-    CountVector,
     forward_distribution,
     PhotonNumberDistribution,
     estimate_xi,
@@ -266,6 +266,33 @@ class TestSimulateHistograms:
         with pytest.raises(DomainError):
             simulate_histograms(make_config(**self.CONFIG), self.N_BINS, (10.0, 11.0))
 
+    def test_draws_golden(self):
+        # bins, under- and overflow of both sides, frozen bit for bit: the
+        # cell probabilities are `histogram.gaussian_cells`, shared with the
+        # comb counter, and a change to it must not move the draws
+        paper = make_config(gamma_true=0.00709, xi_true=0.98794,
+                            background_mean=0.00286, n_pulses=2_200_000, seed=42)
+        cases = {
+            "paper": (paper, 200, (-0.48, 2.48)),
+            "low count": (make_config(gamma_true=0.3, herald_prob=0.8, background_mean=0.3,
+                                      n_pulses=40_000, seed=0), 120, (-0.48, 3.48)),
+            "widening": (dataclasses.replace(paper, peak_centers=(0.0, 1.0, 2.0),
+                                             peak_widths=(0.15, 0.16, 0.17), seed=7),
+                         150, (-1.0, 3.0)),
+        }
+        got = {}
+        for name, (cfg, n_bins, amp_range) in cases.items():
+            digest = hashlib.sha256()
+            for hist in simulate_histograms(cfg, n_bins, amp_range)[:2]:
+                digest.update(hist.counts.tobytes())
+                digest.update(np.array([hist.n_underflow, hist.n_overflow]).tobytes())
+            got[name] = digest.hexdigest()
+        assert got == {
+            "paper": "01d1ab51faeef4e0b1f295c7f8e89988e4049e1d5bf676e1ac98e8b7edc162d4",
+            "low count": "6033a2263ce9fcb23713664e77ddbc1b2884cfabc1f74b9074dc70f07a04368d",
+            "widening": "ea203b40a0988ef52721c0e3486af76228477655828ef4adbd185811a9fd7b95",
+        }
+
 
 class TestHeraldStats:
     def test_dark_rate_inversion(self):
@@ -324,7 +351,7 @@ class TestClosure:
         )
         report = closure_test(cfg, n_seeds=500, n_bins=200, max_index=2, jobs=2)
         assert report.n_completed == 500, report.failures[:3]
-        for name in ("gamma0", "gamma1"):
+        for name in ("gamma0", "gamma1", "gamma2"):
             e = report.estimator(name)
             se = e.spread / math.sqrt(e.n_success)
             assert abs(e.bias) <= 3.0 * se, (name, e.bias, se)
@@ -334,38 +361,44 @@ class TestClosure:
         expected_bias = -cfg.gamma_true * -math.expm1(-cfg.background_mean)
         se = k.spread / math.sqrt(k.n_success)
         assert abs(k.bias - expected_bias) <= 3.0 * se, (k.bias, expected_bias, se)
-        # gamma2 is left out: its problem is bias (the fit narrows the
-        # sparse n=2 peaks), not its claimed u
 
     def test_seed_without_n2_counts_scores_calibrate_counts(self, monkeypatch):
-        # seed 28 of SeedSequence root 7 at paper scale: both fits drop n=2
+        # paper-scale rates at 200k pulses, seed 10: no n=2 event on either
+        # side, so both n=2 windows are empty and dropped
         cfg = make_config(gamma_true=0.00709, xi_true=0.98794,
-                          background_mean=0.00286, n_pulses=2_200_000,
-                          seed=3821436085)
-        fitted = []
+                          background_mean=0.00286, n_pulses=200_000, seed=10)
+        counted = []
 
         def spy(*args, **kwargs):
-            out = robust_peak_counts(*args, **kwargs)
-            fitted.append(out[0])
+            out = count_photons(*args, **kwargs)
+            counted.append(out)
             return out
 
-        monkeypatch.setattr(hg, "robust_peak_counts", spy)
+        monkeypatch.setattr(hg, "count_photons", spy)
         scored = _closure_single(cfg, n_bins=200, max_index=2)
-        on, off = fitted
-        assert on.counts[2] == off.counts[2] == 0.0
+        [(on, off, _)] = counted
+        assert on.counts.size == off.counts.size == 2
         assert "gamma2" not in scored
         xi = estimate_xi(simulate_herald_stats(cfg, dark_rate_for_purity(cfg)))
-        result = calibrate_counts(
-            CountVector(on.counts[:2], on.uncertainties[:2]),
-            CountVector(off.counts[:2], off.uncertainties[:2]),
-            xi,
-        )
+        result = calibrate_counts(on, off, xi)
+        assert result.inputs.covariance is not None
         for name in ("gamma0", "gamma1", "gammaK"):
             e = result.estimates[name]
             assert scored[name] == (e.gamma, e.u_gamma)
         assert scored["weighted_mean"] == (
             result.combined.gamma, result.combined.u_gamma
         )
+
+    def test_negative_count_seed_names_its_reason(self):
+        # sigma 0.15, root 0: one of its two seeds has a single OFF event in
+        # the n=2 window, fewer than the n=1 peak spills into it
+        cfg = make_config(gamma_true=0.00709, xi_true=0.98794,
+                          background_mean=0.00286, n_pulses=2_200_000,
+                          peak_widths=(0.15,) * 4, seed=0)
+        report = closure_test(cfg, n_seeds=2, n_bins=200, max_index=2)
+        assert report.n_completed == 1
+        [failure] = report.failures
+        assert "stage_error=FitFailureError('off negative unfolded count" in failure
 
     def test_unscored_estimator_gets_no_row(self, monkeypatch):
         # every seed dropped n=2, so gamma2 has no value to average
