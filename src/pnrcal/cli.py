@@ -2,9 +2,10 @@
 
 Config files use INI syntax (key = value under [section] headers); see the
 README for the documented keys.  Exit codes are stable: 0 success, 2
-usage/config error (a path that cannot be read or written included), 3 fit
-failure, 4 uninformative estimator bin.  All
-diagnostics go to stderr as single-line key=value pairs.
+usage/config error (a path that cannot be read or written, or a config value
+that is not a number, included), 3 fit failure, 4 uninformative estimator
+bin.  The commands raise; `main` alone maps each exception to its exit code.
+All diagnostics go to stderr as single-line key=value pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,18 @@ def _floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _number(sec, key: str, convert=float, default=None):
+    """`convert` of the INI value at `key`, or `default` when the key is
+    absent; a value that does not convert raises ConfigError naming the
+    section and the key."""
+    if key not in sec:
+        return default
+    try:
+        return convert(sec[key])
+    except ValueError as exc:
+        raise ConfigError(f"[{sec.name}] {key}: {exc}") from None
+
+
 def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
     parser = _read_ini(path)
     if "experiment" not in parser:
@@ -73,17 +86,18 @@ def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
     for key in required:
         if key not in sec:
             raise ConfigError(f"missing field '{key}' in [experiment]")
+    # the pile-up keys are optional: ExperimentConfig holds their defaults
+    pileup = {k: _number(sec, k) for k in ("rep_period_us", "detector_recovery_us") if k in sec}
     return sim.ExperimentConfig(
-        gamma_true=sec.getfloat("gamma_true"),
-        xi_true=sec.getfloat("xi_true"),
-        herald_prob=sec.getfloat("herald_prob"),
-        background_mean=sec.getfloat("background_mean"),
-        peak_centers=tuple(_floats(sec["peak_centers"])),
-        peak_widths=tuple(_floats(sec["peak_widths"])),
-        n_pulses=sec.getint("n_pulses"),
-        rep_period_us=sec.getfloat("rep_period_us", fallback=25.0),
-        detector_recovery_us=sec.getfloat("detector_recovery_us", fallback=10.4),
-        seed=int(seed_override) if seed_override is not None else sec.getint("seed"),
+        gamma_true=_number(sec, "gamma_true"),
+        xi_true=_number(sec, "xi_true"),
+        herald_prob=_number(sec, "herald_prob"),
+        background_mean=_number(sec, "background_mean"),
+        peak_centers=_number(sec, "peak_centers", _floats),
+        peak_widths=_number(sec, "peak_widths", _floats),
+        n_pulses=_number(sec, "n_pulses", int),
+        seed=int(seed_override) if seed_override is not None else _number(sec, "seed", int),
+        **pileup,
     )
 
 
@@ -96,12 +110,14 @@ def _herald_purity(parser: configparser.ConfigParser) -> HeraldPurity:
     if has_counts == has_xi:
         raise ConfigError("provide exactly one of (n_on/n_off) or explicit xi")
     if has_xi:
-        return HeraldPurity(sec.getfloat("xi"), sec.getfloat("u_xi", fallback=0.0))
+        return HeraldPurity(_number(sec, "xi"), _number(sec, "u_xi", default=0.0))
+    if "n_on" not in sec or "n_off" not in sec:
+        raise ConfigError("[herald] needs both n_on and n_off")
     stats = HeraldStats(
-        n_on=sec.getfloat("n_on"),
-        n_off=sec.getfloat("n_off"),
-        u_on=sec.getfloat("u_on", fallback=None),
-        u_off=sec.getfloat("u_off", fallback=None),
+        n_on=_number(sec, "n_on"),
+        n_off=_number(sec, "n_off"),
+        u_on=_number(sec, "u_on"),
+        u_off=_number(sec, "u_off"),
     )
     return estimate_xi(stats)
 
@@ -109,7 +125,9 @@ def _herald_purity(parser: configparser.ConfigParser) -> HeraldPurity:
 def _counts_from_config(sec, prefix: str) -> CountVector:
     if prefix not in sec or f"{prefix}_u" not in sec:
         raise ConfigError(f"bypass-fit mode needs '{prefix}' and '{prefix}_u' in [counts]")
-    return CountVector(np.array(_floats(sec[prefix])), np.array(_floats(sec[f"{prefix}_u"])))
+    return CountVector(
+        np.array(_number(sec, prefix, _floats)), np.array(_number(sec, f"{prefix}_u", _floats))
+    )
 
 
 def _amplitude_path(sec, tag: str) -> tuple[str, Path]:
@@ -137,8 +155,8 @@ def _run_calibration(args) -> reports.CalibrationResult:
     xi = _herald_purity(parser)
 
     fit_sec = parser["fit"] if "fit" in parser else {}
-    n_peaks = args.peaks or int(fit_sec.get("n_peaks", 3))
-    n_bins = args.bins or int(fit_sec.get("bins", 200))
+    n_peaks = args.peaks or _number(fit_sec, "n_peaks", int, 3)
+    n_bins = args.bins or _number(fit_sec, "bins", int, 200)
 
     fit_quality = None
     if args.bypass_fit:
@@ -169,11 +187,8 @@ def _run_calibration(args) -> reports.CalibrationResult:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _experiment_config(args.config, args.seed)
-        run = sim.simulate_run(config)
-    except (ConfigError, DomainError, configparser.Error) as exc:
-        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
+    config = _experiment_config(args.config, args.seed)
+    run = sim.simulate_run(config)
     out = reports.ensure_dir(args.out)
     sim.save_run(run, config, out)
     t = run.tallies
@@ -186,13 +201,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        hist = hg.load_histogram_csv(args.histogram)
-        fit = hg.fit_mixture(hist, args.peaks)
-    except (DomainError, ConfigError) as exc:
-        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
-    except (FitFailureError, InitializationError) as exc:
-        return _fail(EXIT_FIT, error="fit", detail=_oneline(exc))
+    hist = hg.load_histogram_csv(args.histogram)
+    fit = hg.fit_mixture(hist, args.peaks)
     counts = hg.extract_counts(fit, hist.bin_width)
     document = {
         "peaks": [
@@ -217,17 +227,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    """`calibrate` and `budget`: run the calibration, map each failure to
-    its exit code and stderr line, then write the command's reports."""
-    try:
-        result = _run_calibration(args)
-    except UninformativeBinError as exc:
-        return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
-    except (ConfigError, DomainError, configparser.Error) as exc:
-        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
-    except FitFailureError as exc:
-        # a failed comb fit, or a gate on it, with its side and reason keys
-        return _fail(EXIT_FIT, error="fit", **exc.keys, detail=_oneline(exc))
+    """`calibrate` and `budget`: run the calibration, then write the
+    command's reports."""
+    result = _run_calibration(args)
     args.write_reports(result, reports.ensure_dir(args.out))
     return EXIT_OK
 
@@ -257,10 +259,7 @@ def _write_budget(result: reports.CalibrationResult, out: Path) -> None:
 def cmd_closure(args) -> int:
     if args.seeds < 2:
         return _fail(EXIT_CONFIG, error="usage", detail="need --seeds >= 2")
-    try:
-        config = _experiment_config(args.config, args.seed)
-    except (ConfigError, DomainError, configparser.Error) as exc:
-        return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
+    config = _experiment_config(args.config, args.seed)
     jobs = args.jobs or os.cpu_count() or 1
     report = sim.closure_test(
         config, args.seeds, n_bins=args.bins or 200, jobs=jobs
@@ -323,9 +322,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # a path that cannot be read or written, in any command
+    # subclasses DomainError, so it comes first
+    except UninformativeBinError as exc:
+        return _fail(EXIT_UNINFORMATIVE, error="uninformative_bin", detail=_oneline(exc))
+    # OSError: a path that cannot be read or written.  No plain ValueError:
+    # numpy's LinAlgError is one, and it is not a config error.
+    except (ConfigError, DomainError, configparser.Error, OSError) as exc:
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
+    except (FitFailureError, InitializationError) as exc:
+        # a failed fit, or a gate on it, with its keys (side, reason, ...)
+        return _fail(EXIT_FIT, error="fit", **getattr(exc, "keys", {}), detail=_oneline(exc))
 
 
 if __name__ == "__main__":

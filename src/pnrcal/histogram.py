@@ -252,16 +252,16 @@ def fit_mixture(
     hist: AmplitudeHistogram,
     n_peaks: int,
     init: list[GaussianPeak] | None = None,
-    weighting: str = "poisson",
 ) -> MixtureFit:
     """Levenberg-Marquardt fit of a sum of Gaussians to the histogram.
 
     Each solve is MINPACK's `lmder` through `scipy.optimize.leastsq` with
     the analytic Jacobian; a solver step evaluates the Gaussian terms once,
-    and the Jacobian at the same parameters reuses them.  With the default
-    Poisson weighting each bin residual is scaled by 1/sqrt(max(count, 1));
-    `weighting="none"` gives plain least squares.  The covariance comes
-    from the Jacobian at the solution with residual variance scaling.
+    and the Jacobian at the same parameters reuses them.  The first solve
+    scales each bin residual by 1/sqrt(max(count, 1)); the weights are then
+    taken from the model, 1/sqrt(max(model, 1)) (Pearson), and the refit
+    repeated to its fixed point.  The covariance comes from the Jacobian at
+    the solution with residual variance scaling.
     Peaks are returned sorted by center.  A start point where a residual
     is not finite raises FitFailureError, and so does a fitted peak that is
     not finite, narrower than one bin, or centred outside the histogram (a
@@ -275,8 +275,6 @@ def fit_mixture(
         raise DomainError("need at least one peak")
     if np.count_nonzero(hist.counts) < 3 * n_peaks:
         raise DomainError("need at least 3 nonempty bins per peak")
-    if weighting not in ("poisson", "none"):
-        raise DomainError(f"unknown weighting {weighting!r}")
     if hist.total <= 0:
         raise DomainError("histogram is empty")
 
@@ -291,7 +289,7 @@ def fit_mixture(
     else:
         p0 = _seed_from_maxima(hist, n_peaks)
 
-    def solve(p_start, w, required=True):
+    def solve(p_start, w):
         """One LM solve: (x, residuals at x, converged, Jacobian function)."""
         cache = {}  # the terms at the parameters last evaluated, by their bytes
 
@@ -325,44 +323,33 @@ def fit_mixture(
             gtol=1e-14,
             maxfev=MAX_ITER * (p_start.size + 1),
         )
-        converged = 1 <= ier <= 4
-        if required and not converged:
-            raise FitFailureError(
-                "mixture fit did not converge within the iteration cap",
-                residual_norm=float(np.linalg.norm(info["fvec"])),
-            )
-        return p, info["fvec"], converged, jac
+        return p, info["fvec"], 1 <= ier <= 4, jac
 
     # a runaway component overflows the model on its way out of the
     # histogram; it is rejected below, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
-        if weighting == "poisson":
-            # Start from observed-count weights, then reweight by the model
-            # (Pearson): observed-count weights bias low-count peak areas and
-            # misstate their variances.  The first pass only preconditions
-            # the Pearson stages, so hitting its iteration cap is not fatal.
-            p = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)), required=False)[0]
-            # Iterate the reweighting to its fixed point so refits started
-            # from the solution reproduce it.  At least one Pearson pass must
-            # converge within the iteration cap.
-            converged = False
-            for attempt in range(8):
-                w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, p), 1.0))
-                prev = p
-                p, fvec, ok, jac = solve(p, w, required=False)
-                converged = converged or ok
-                step = np.abs(p - prev)
-                if converged and np.all(
-                    step <= 1e-12 * np.maximum(np.abs(p), 1e-300)
-                ):
-                    break
-            if not converged:
-                raise FitFailureError(
-                    "mixture fit did not converge within the iteration cap",
-                    residual_norm=float(np.linalg.norm(fvec)),
-                )
-        else:
-            p, fvec, _, jac = solve(p0, np.ones_like(y))
+        # Start from observed-count weights, then reweight by the model
+        # (Pearson): observed-count weights bias low-count peak areas and
+        # misstate their variances.  The first pass only preconditions
+        # the Pearson stages, so hitting its iteration cap is not fatal.
+        p = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)))[0]
+        # Iterate the reweighting to its fixed point so refits started
+        # from the solution reproduce it.  At least one Pearson pass must
+        # converge within the iteration cap.
+        converged = False
+        for attempt in range(8):
+            w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, p), 1.0))
+            prev = p
+            p, fvec, ok, jac = solve(p, w)
+            converged = converged or ok
+            step = np.abs(p - prev)
+            if converged and np.all(step <= 1e-12 * np.maximum(np.abs(p), 1e-300)):
+                break
+        if not converged:
+            raise FitFailureError(
+                "mixture fit did not converge within the iteration cap",
+                residual_norm=float(np.linalg.norm(fvec)),
+            )
         # at the solution: the solver's last evaluation may be a rejected step
         J = jac(p)
 

@@ -179,13 +179,28 @@ class TestFit:
             assert main(["fit", path]) == EXIT_CONFIG
 
     def test_impossible_peaks_exit_3(self, tmp_path):
-        rng = np.random.default_rng(2)
-        hist = build_histogram(rng.normal(0.0, 0.08, 50_000), 120, (-0.5, 0.5))
-        path = tmp_path / "hist.csv"
-        save_histogram_csv(hist, path)
-        code = main(["fit", str(path), "--peaks", "5", "--out", str(tmp_path)])
+        path = _impossible_peaks_histogram(tmp_path)
+        code = main(["fit", path, "--peaks", "5", "--out", str(tmp_path)])
         assert code in (EXIT_CONFIG, EXIT_FIT)
         assert code != EXIT_OK
+
+    def test_not_converged_exit_3_with_residual_norm(self, tmp_path, capsys, monkeypatch):
+        # every solve stops at its evaluation cap (MINPACK's ier = 5)
+        import scipy.optimize
+
+        solve = scipy.optimize.leastsq
+        monkeypatch.setattr(scipy.optimize, "leastsq",
+                            lambda *args, **kwargs: solve(*args, **kwargs)[:4] + (5,))
+        rng = np.random.default_rng(1)
+        samples = np.concatenate(
+            [rng.normal(0.0, 0.08, 100_000), rng.normal(1.0, 0.09, 2_000)]
+        )
+        path = tmp_path / "hist.csv"
+        save_histogram_csv(build_histogram(samples, 160, (-0.5, 1.5)), path)
+        assert main(["fit", str(path), "--peaks", "2", "--out", str(tmp_path)]) == EXIT_FIT
+        keys = capsys.readouterr().err.split(" detail=")[0].split()
+        assert keys[0] == "error=fit" and len(keys) == 2
+        assert keys[1].startswith("residual_norm=") and float(keys[1].split("=")[1]) > 0
 
 
 class TestCalibrateBypass:
@@ -545,3 +560,132 @@ class TestClosure:
         cfg = write(tmp_path, "exp.ini", EXPERIMENT)
         assert main(["closure", cfg, "--seeds", "1",
                      "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+
+
+def _impossible_peaks_histogram(tmp_path):
+    # one Gaussian peak, to be asked for five
+    rng = np.random.default_rng(2)
+    hist = build_histogram(rng.normal(0.0, 0.08, 50_000), 120, (-0.5, 0.5))
+    path = tmp_path / "hist.csv"
+    save_histogram_csv(hist, path)
+    return str(path)
+
+
+def _poor_fit_config(tmp_path):
+    # the OFF histogram's third peak is left unfitted (TestFitQualityGate)
+    on = TestFitQualityGate.histogram_csv(tmp_path, "on.csv", [4000, 1000, 0])
+    off = TestFitQualityGate.histogram_csv(tmp_path, "off.csv", [4000, 1000, 1000])
+    return write(
+        tmp_path,
+        "cal.ini",
+        "[herald]\nxi = 0.95\n\n[inputs]\n"
+        f"on_histogram = {on}\noff_histogram = {off}\n\n[fit]\nn_peaks = 2\n",
+    )
+
+
+def _table_counts(tmp_path, *replacements):
+    text = TABLE_COUNTS
+    for old, new in replacements:
+        text = text.replace(old, new)
+    return write(tmp_path, "cal.ini", text)
+
+
+# B(0) = B(1): the gamma_1 denominator vanishes
+FLAT_OFF = (("off = 5.103e6 1.4600e4 23.9", "off = 0.5 0.5 0"),
+            ("off_u = 1.4e4 150 1.5", "off_u = 0 0 0"))
+# photon number 2 empty on both sides
+EMPTY_N2 = (("on = 5.069e6 5.0200e4 118", "on = 5.069e6 5.02e4 0"),
+            ("on_u = 1.4e4 200 6", "on_u = 1.4e4 200 0"),
+            ("off = 5.103e6 1.4600e4 23.9", "off = 5.103e6 1.46e4 0"),
+            ("off_u = 1.4e4 150 1.5", "off_u = 1.4e4 150 0"))
+
+# (id, argv from tmp_path, exit code, first key=value on stderr)
+EXIT_CASES = [
+    ("simulate-missing-field",
+     lambda t: ["simulate", write(t, "exp.ini", EXPERIMENT.replace("seed = 4242\n", ""))],
+     EXIT_CONFIG, "error=config"),
+    ("simulate-pileup",
+     lambda t: ["simulate", write(t, "exp.ini", EXPERIMENT + "rep_period_us = 5.0\n")],
+     EXIT_CONFIG, "error=config"),
+    ("fit-missing-file", lambda t: ["fit", str(t / "nope.csv")], EXIT_CONFIG, "error=config"),
+    ("fit-impossible-peaks",
+     lambda t: ["fit", _impossible_peaks_histogram(t), "--peaks", "5"], EXIT_FIT, "error=fit"),
+    ("calibrate-missing-counts",
+     lambda t: ["calibrate", write(t, "cal.ini", "[herald]\nxi = 0.9\n"), "--bypass-fit"],
+     EXIT_CONFIG, "error=config"),
+    ("calibrate-unwritable-out",
+     lambda t: ["calibrate", _table_counts(t), "--bypass-fit", "--out", _table_counts(t)],
+     EXIT_CONFIG, "error=config"),
+    ("calibrate-flat-off",
+     lambda t: ["calibrate", _table_counts(t, *FLAT_OFF), "--bypass-fit"],
+     EXIT_UNINFORMATIVE, "error=uninformative_bin"),
+    ("calibrate-poor-fit", lambda t: ["calibrate", _poor_fit_config(t)], EXIT_FIT, "error=fit"),
+    ("budget-missing-counts",
+     lambda t: ["budget", write(t, "cal.ini", "[herald]\nxi = 0.9\n"), "--bypass-fit"],
+     EXIT_CONFIG, "error=config"),
+    ("budget-empty-n2",
+     lambda t: ["budget", _table_counts(t, *EMPTY_N2), "--bypass-fit"],
+     EXIT_UNINFORMATIVE, "error=uninformative_bin"),
+    ("closure-missing-field",
+     lambda t: ["closure", write(t, "exp.ini", EXPERIMENT.replace("xi_true = 0.95\n", ""))],
+     EXIT_CONFIG, "error=config"),
+    ("closure-one-seed",
+     lambda t: ["closure", write(t, "exp.ini", EXPERIMENT), "--seeds", "1"],
+     EXIT_CONFIG, "error=usage"),
+]
+
+
+class TestExitCodes:
+    """One input per failure class of each command: its exit code, the
+    first stderr key, and nothing on stdout or in the --out directory."""
+
+    @pytest.mark.parametrize("argv, code, key", [c[1:] for c in EXIT_CASES],
+                             ids=[c[0] for c in EXIT_CASES])
+    def test_failure_class(self, tmp_path, capsys, argv, code, key):
+        args = argv(tmp_path)
+        if "--out" not in args:
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].split()[0] == key, lines
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+# (id, command, INI text): a value that is not a number, or half of a pair
+BAD_VALUES = [
+    ("simulate-gamma", "simulate",
+     EXPERIMENT.replace("gamma_true = 0.3", "gamma_true = abc"), "[experiment] gamma_true"),
+    ("simulate-n-pulses", "simulate",
+     EXPERIMENT.replace("n_pulses = 120000", "n_pulses = 1.2e5"), "[experiment] n_pulses"),
+    ("closure-gamma", "closure",
+     EXPERIMENT.replace("gamma_true = 0.3", "gamma_true = abc"), "[experiment] gamma_true"),
+    ("calibrate-xi", "calibrate",
+     TABLE_COUNTS.replace("xi = 0.98794", "xi = oops"), "[herald] xi"),
+    ("calibrate-herald-counts", "calibrate",
+     TABLE_COUNTS.replace("xi = 0.98794\nu_xi = 7e-5", "n_on = 1e6\nn_off = lots"),
+     "[herald] n_off"),
+    ("calibrate-herald-half-pair", "calibrate",
+     TABLE_COUNTS.replace("xi = 0.98794\nu_xi = 7e-5", "n_on = 1e6"), "n_off"),
+    ("calibrate-counts", "calibrate",
+     TABLE_COUNTS.replace("on = 5.069e6 5.0200e4 118", "on = 5.069e6 5.0200e4 x118"),
+     "[counts] on"),
+    ("calibrate-n-peaks", "calibrate", TABLE_COUNTS + "\n[fit]\nn_peaks = three\n",
+     "[fit] n_peaks"),
+    ("budget-off-u", "budget",
+     TABLE_COUNTS.replace("off_u = 1.4e4 150 1.5", "off_u = 1.4e4 150 ?"), "[counts] off_u"),
+]
+
+
+class TestBadConfigValues:
+    @pytest.mark.parametrize("command, text, where", [c[1:] for c in BAD_VALUES],
+                             ids=[c[0] for c in BAD_VALUES])
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, command, text, where):
+        argv = [command, write(tmp_path, "cfg.ini", text), "--out", str(tmp_path / "out")]
+        if command in ("calibrate", "budget"):
+            argv.append("--bypass-fit")
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=config detail="), lines
+        assert where in lines[0]

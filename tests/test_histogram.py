@@ -80,7 +80,7 @@ class TestFitMixture:
     def test_single_exact_gaussian(self):
         truth = GaussianPeak(amplitude=100.0, center=1.0, sigma=0.1)
         h = exact_histogram([truth], lo=0.0, hi=2.0, n_bins=100)
-        fit = fit_mixture(h, n_peaks=1, weighting="none")
+        fit = fit_mixture(h, n_peaks=1)
         p = fit.peaks[0]
         assert abs(p.amplitude - 100.0) < 1e-6 * 100.0
         assert abs(p.center - 1.0) < 1e-6
@@ -94,19 +94,11 @@ class TestFitMixture:
             GaussianPeak(1.0, 2.0, 0.10),
         ]
         h = exact_histogram(truth)
-        fit = fit_mixture(h, n_peaks=3, weighting="none")
+        fit = fit_mixture(h, n_peaks=3)
         for got, want in zip(fit.peaks, truth):
             assert abs(got.center - want.center) < 1e-6
             assert abs(got.sigma - want.sigma) < 1e-6
             assert abs(got.amplitude - want.amplitude) < 1e-6 * want.amplitude
-
-    def test_idempotence_unweighted(self):
-        h = noisy_two_peak()
-        fit = fit_mixture(h, n_peaks=2, weighting="none")
-        refit = fit_mixture(h, n_peaks=2, init=fit.peaks, weighting="none")
-        a = fit.parameters
-        b = refit.parameters
-        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a))
 
     def test_idempotence_poisson(self):
         # the reweighted objective is solved as a fixed-point iteration, so a
@@ -274,7 +266,7 @@ class TestQuality:
     def test_perfect_model_zero_ratio(self):
         truth = GaussianPeak(100.0, 1.0, 0.1)
         h = exact_histogram([truth], lo=0.0, hi=2.0, n_bins=100)
-        fit = fit_mixture(h, n_peaks=1, weighting="none")
+        fit = fit_mixture(h, n_peaks=1)
         assert fit.quality.ratio < 1e-12
 
     def test_underfitted_model_much_worse(self):
@@ -452,7 +444,6 @@ def golden_fits():
         fits[f"7a seed {seed}"] = fit_mixture(hist, 4)
     for side, (hist, init) in zip(("on", "off"), paper_scale_sides(42)):
         fits[f"readme {side}"] = fit_mixture(hist, 3, init=init)
-    fits["two peaks unweighted"] = fit_mixture(noisy_two_peak(), 2, weighting="none")
     return fits
 
 
@@ -476,10 +467,6 @@ class TestFitGolden:
                       "0x1.281a7e4417a84p-28"),
         "readme off": ("1389e38a372e8a67ff09913bc24a4f3c0cc5d5d5a28ab1dd34c728ee37c1b322",
                        "0x1.3b63b961ec67cp-28"),
-        "two peaks unweighted": (
-            "86002450babe3be1c70df11b10525963df934a77172d29d00ffae34181093b36",
-            "0x1.29a821aeac416p-23",
-        ),
     }
     COMB = {
         "on": (
