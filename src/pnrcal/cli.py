@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DomainError,
     FitFailureError,
-    InitializationError,
     UninformativeBinError,
 )
 from .model import CountVector, HeraldPurity, HeraldStats, estimate_xi
@@ -65,6 +64,13 @@ def _number(sec, key: str, convert=float, default=None):
         return convert(sec[key])
     except ValueError as exc:
         raise ConfigError(f"[{sec.name}] {key}: {exc}") from None
+
+
+def _positive(value: int, flag: str) -> int:
+    """`value` of a command-line flag; one that is not positive raises ConfigError."""
+    if value <= 0:
+        raise ConfigError(f"{flag} must be > 0, got {value}")
+    return value
 
 
 def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
@@ -155,8 +161,10 @@ def _run_calibration(args) -> reports.CalibrationResult:
     xi = _herald_purity(parser)
 
     fit_sec = parser["fit"] if "fit" in parser else {}
-    n_peaks = args.peaks or _number(fit_sec, "n_peaks", int, 3)
-    n_bins = args.bins or _number(fit_sec, "bins", int, 200)
+    n_peaks = (_number(fit_sec, "n_peaks", int, 3) if args.peaks is None
+               else _positive(args.peaks, "--peaks"))
+    n_bins = (_number(fit_sec, "bins", int, 200) if args.bins is None
+              else _positive(args.bins, "--bins"))
 
     fit_quality = None
     if args.bypass_fit:
@@ -261,9 +269,8 @@ def cmd_closure(args) -> int:
         return _fail(EXIT_CONFIG, error="usage", detail="need --seeds >= 2")
     config = _experiment_config(args.config, args.seed)
     jobs = args.jobs or os.cpu_count() or 1
-    report = sim.closure_test(
-        config, args.seeds, n_bins=args.bins or 200, jobs=jobs
-    )
+    n_bins = 200 if args.bins is None else _positive(args.bins, "--bins")
+    report = sim.closure_test(config, args.seeds, n_bins=n_bins, jobs=jobs)
     out = reports.ensure_dir(args.out)
     reports.write_json(reports.closure_report_json(report), out / "closure.json")
     table = reports.closure_report_table(report)
@@ -329,9 +336,9 @@ def main(argv=None) -> int:
     # numpy's LinAlgError is one, and it is not a config error.
     except (ConfigError, DomainError, configparser.Error, OSError) as exc:
         return _fail(EXIT_CONFIG, error="config", detail=_oneline(exc))
-    except (FitFailureError, InitializationError) as exc:
+    except FitFailureError as exc:
         # a failed fit, or a gate on it, with its keys (side, reason, ...)
-        return _fail(EXIT_FIT, error="fit", **getattr(exc, "keys", {}), detail=_oneline(exc))
+        return _fail(EXIT_FIT, error="fit", **exc.keys, detail=_oneline(exc))
 
 
 if __name__ == "__main__":

@@ -9,13 +9,10 @@ class UninformativeBinError(DomainError):
     """Estimator denominator vanishes for the requested photon number."""
 
 
-class InitializationError(RuntimeError):
-    """Could not seed the mixture fit (fewer local maxima than peaks)."""
-
-
 class FitFailureError(RuntimeError):
-    """A fit did not converge within the iteration cap, or failed a gate;
-    `keys` hold key=value diagnostics (`calibrate` prints them on stderr)."""
+    """A fit could not be seeded, did not converge within the iteration cap,
+    or failed a gate; `keys` hold key=value diagnostics, `reason` among them
+    (the command line prints them on stderr)."""
 
     def __init__(self, message, **keys):
         super().__init__(message)

@@ -1,10 +1,10 @@
-"""Pulse-amplitude histograms, Gaussian-mixture fits and comb-window counts.
+"""Pulse-amplitude histograms, Gaussian-mixture fits and comb-fit counts.
 
 The amplitude spectrum of a photon-number-resolving detector shows one
 Gaussian peak per detected photon number.  `fit_mixture` fits a sum of
 Gaussians A_i * exp(-(x - x_i)^2 / (2 sigma_i^2)) to the binned spectrum.
-`count_photons` counts the events between the midpoints of an equally spaced
-comb that a fit of the n=0 and n=1 peaks places, and unfolds the spill-over.
+`count_photons` counts each photon number by a binned Poisson-likelihood
+fit of an equally spaced comb of Gaussian peaks to the whole spectrum.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitFailureError, InitializationError
+from .errors import DomainError, FitFailureError
 from .model import CountVector
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -26,10 +26,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 FTOL = 1e-10
 MAX_ITER = 200
 MIN_PEAK_SEPARATION_BINS = 3
-# largest comb-fit chi2/TSS ratio (ACCEPTANCE 7b); good fits sit near 1e-8
-MAX_QUALITY_RATIO = 1e-4
-# smallest comb spacing in n=1 widths: window counts hold at 6.7, fail at 5
-MIN_COMB_SEPARATION = 6.0
+# largest comb-fit Poisson deviance per degree of freedom: 8000 paper-scale
+# closure fits at sigma 0.08-0.2 reach 1.9, an unmodelled peak gives 1600
+MAX_DEVIANCE_PER_DOF = 3.0
+# floor on a cell's expected count in the comb fit, where its derivatives
+# are taken as zero: a start model that underflows in a populated cell
+# would give the Jacobian entries near 1e135
+MIN_EXPECTED = 1e-9
 
 
 @dataclass(frozen=True)
@@ -230,8 +233,9 @@ def _seed_from_maxima(hist: AmplitudeHistogram, n_peaks: int) -> np.ndarray:
         if len(chosen) == n_peaks:
             break
     if len(chosen) < n_peaks:
-        raise InitializationError(
-            f"found {len(chosen)} candidate peaks, need {n_peaks}; pass init"
+        raise FitFailureError(
+            f"found {len(chosen)} candidate peaks, need {n_peaks}; pass init",
+            reason="seed",
         )
     chosen.sort()
     params = []
@@ -246,6 +250,32 @@ def _half_width_sigma(hist: AmplitudeHistogram, j: int) -> float:
     r = low[low > j].min(initial=hist.counts.size - 1)
     l = low[low < j].max(initial=0)
     return max((r - l) * hist.bin_width / 2.355, hist.bin_width)
+
+
+def _last_value(fn):
+    """fn, keeping its value at the parameters last passed (by their bytes):
+    the solver asks for the residuals and the Jacobian at the same point."""
+    cache = {}
+
+    def call(params):
+        key = params.tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = fn(params)
+        return cache[key]
+
+    return call
+
+
+def _levenberg_marquardt(residuals, jac, p_start):
+    """One solve under the convergence policy, MINPACK's `lmder` through
+    `scipy.optimize.leastsq`: (solution, residuals there, converged, evaluations)."""
+    # the only scipy.optimize user: commands that never fit skip its import
+    from scipy.optimize import leastsq
+
+    p, _, info, _, ier = leastsq(residuals, p_start, Dfun=jac, full_output=True, ftol=FTOL,
+                                 xtol=1e-14, gtol=1e-14, maxfev=MAX_ITER * (p_start.size + 1))
+    return p, info["fvec"], 1 <= ier <= 4, int(info["nfev"])
 
 
 def fit_mixture(
@@ -268,9 +298,6 @@ def fit_mixture(
     runaway component), naming the peak, its center and sigma and the
     condition it failed.
     """
-    # the only scipy.optimize user: commands that never fit skip its import
-    from scipy.optimize import leastsq
-
     if n_peaks < 1:
         raise DomainError("need at least one peak")
     if np.count_nonzero(hist.counts) < 3 * n_peaks:
@@ -291,14 +318,7 @@ def fit_mixture(
 
     def solve(p_start, w):
         """One LM solve: (x, residuals at x, converged, Jacobian function)."""
-        cache = {}  # the terms at the parameters last evaluated, by their bytes
-
-        def terms(params):
-            key = params.tobytes()
-            if key not in cache:
-                cache.clear()
-                cache[key] = _gaussian_terms(x, params)
-            return cache[key]
+        terms = _last_value(lambda params: _gaussian_terms(x, params))
 
         def residuals(params):
             a, _, _, g = terms(params)
@@ -311,19 +331,11 @@ def fit_mixture(
         if bad:
             raise FitFailureError(
                 f"mixture fit residuals are not finite at the start point "
-                f"({bad} of {y.size} bins)"
+                f"({bad} of {y.size} bins)",
+                reason="seed",
             )
-        p, _, info, _, ier = leastsq(
-            residuals,
-            p_start,
-            Dfun=jac,
-            full_output=True,
-            ftol=FTOL,
-            xtol=1e-14,
-            gtol=1e-14,
-            maxfev=MAX_ITER * (p_start.size + 1),
-        )
-        return p, info["fvec"], 1 <= ier <= 4, jac
+        p, fvec, converged, _ = _levenberg_marquardt(residuals, jac, p_start)
+        return p, fvec, converged, jac
 
     # a runaway component overflows the model on its way out of the
     # histogram; it is rejected below, so the overflow is no error
@@ -348,6 +360,7 @@ def fit_mixture(
         if not converged:
             raise FitFailureError(
                 "mixture fit did not converge within the iteration cap",
+                reason="convergence",
                 residual_norm=float(np.linalg.norm(fvec)),
             )
         # at the solution: the solver's last evaluation may be a rejected step
@@ -407,7 +420,8 @@ def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:
             continue
         raise FitFailureError(
             f"degenerate peak in mixture fit: peak {k} at center={center:.6g} "
-            f"sigma={sigma:.6g} is {problem}"
+            f"sigma={sigma:.6g} is {problem}",
+            reason="degenerate",
         )
 
 
@@ -453,72 +467,103 @@ def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:
 
 
 def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, dict]:
-    """Counts of photon numbers 0 .. n_windows - 1, with their covariance,
-    from comb windows, and the diagnostics of the comb.
+    """Counts of photon numbers 0 .. n_windows - 1, with their covariance, from
+    one binned Poisson-likelihood fit of a Gaussian comb, and its diagnostics.
 
-    The comb is x_n = x0 + n g, sigma_n^2 = sigma_0^2 + n (sigma_1^2 -
-    sigma_0^2), from a 2-peak `fit_mixture` seeded at the tallest bin and at
-    the tallest bin more than 4 sigma_0 above it.  Windows end at the comb
-    midpoints; bins go by their centres, underflow to the first window and
-    overflow to the last.  With C the window counts and M[w, n] the mass of
-    photon number n in window w, N = M^-1 C with covariance M^-1 diag(C) M^-T
-    over the non-empty windows; an empty window has count and variance 0.
-    FitFailureError's `reason` is "seed" (nothing seeds n=1), "quality" (the
-    chi2/TSS ratio over the n=0 and n=1 windows exceeds MAX_QUALITY_RATIO),
-    "overlap" (g < MIN_COMB_SEPARATION sigma_1), "comb" or "negative_count".
+    Photon number n has centre x0 + n g, width sigma_n^2 = sigma_0^2 +
+    n (sigma_1^2 - sigma_0^2) and count N_n.  A cell (the underflow, each bin,
+    the overflow) expects sum_n N_n times its `gaussian_cells` mass; overflow
+    events that the comb does not explain, from photon numbers past it, go to
+    the last count.  One solve minimises the deviance over x0, g, sigma_0,
+    sigma_1 and log N_n, seeded at the tallest bin and the tallest bin more
+    than 4 sigma_0 above it.  A photon number with no events within g/2 of its
+    seed centre has count and variance 0.  The covariance is the inverse Fisher
+    matrix.  FitFailureError's `reason` is "seed", "convergence", "quality"
+    (deviance per degree of freedom above MAX_DEVIANCE_PER_DOF) or "comb" (a
+    fitted photon number's sigma_n^2 not positive).
     """
     if n_windows < 1:
         raise DomainError("need at least one window")
-    counts, x = hist.counts, hist.bin_centers
+    counts, x, edges = hist.counts, hist.bin_centers, hist.bin_edges
     j0 = int(np.argmax(counts))
     sigma0 = _half_width_sigma(hist, j0)
     above = np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0)
     j1 = int(np.argmax(above))
     if not above[j1] > 0:
         raise FitFailureError(f"no counts 4 sigma above n=0 at {x[j0]:.4g}", reason="seed")
-    # auto-seeding by prominence can put both seeds inside a tall n=0 peak
-    init = [GaussianPeak(counts[j], x[j], sigma0) for j in (j0, j1)]
-    params = fit_mixture(hist, 2, init=init).parameters
-    (_, x0, s0), (_, x1, s1) = params.reshape(2, 3)
-    g, n = x1 - x0, np.arange(n_windows)
-    centers, variances = x0 + n * g, s0**2 + n * (s1**2 - s0**2)
-    # the first bin of windows 1 .. n_windows - 1: centre at or past the midpoint
-    first = np.searchsorted(x, centers[:-1] + 0.5 * g)
-    # the two fitted peaks describe the bins counted as n=0 or n=1, not the rest
-    stop = first[1] if n_windows > 2 else counts.size
-    quality = _quality(params, AmplitudeHistogram(hist.bin_edges[:stop + 1], counts[:stop]), 2)
-    if not quality.ratio <= MAX_QUALITY_RATIO:
-        detail = f"fit quality ratio {quality.ratio:.3g} > {MAX_QUALITY_RATIO:g}"
-        raise FitFailureError(detail, reason="quality")
-    if not g >= MIN_COMB_SEPARATION * s1:
-        detail = f"peaks overlap: g = {g:.4g} is {g / s1:.3g} sigma_1 < {MIN_COMB_SEPARATION:g}"
-        raise FitFailureError(detail, reason="overlap")
-    if not np.all(variances > 0):
+    g = x[j1] - x[j0]
+    seed = np.clip(np.rint((x - x[j0]) / g), 0, n_windows - 1).astype(int)
+    n = np.flatnonzero(np.bincount(seed, weights=counts, minlength=n_windows))
+    y = np.concatenate([[hist.n_underflow], counts, [hist.n_overflow]])
+    past = np.eye(y.size)[-1:] if y[-1] > 0 else np.empty((0, y.size))
+
+    @_last_value
+    def fit(params):
+        """Each cell's signed deviance residual; its expectation mu, floored at
+        MIN_EXPECTED; and the derivatives of mu by x0, g, sigma_0, sigma_1 and
+        each count, zero below the floor."""
+        x0, g, s0, s1 = params[:4]
+        centers, sigma = x0 + n * g, np.sqrt(s0**2 + n * (s1**2 - s0**2))
+        z = (edges - centers[:, None]) / sigma[:, None]
+        # each cell's mass by its peak's centre and width; infinite edges add nothing
+        at_edges = np.zeros((2, n.size, edges.size + 2))
+        at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * sigma[:, None])
+        at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
+        by_center, by_width = np.diff(at_edges)
+        cells = np.vstack([gaussian_cells(edges, centers, sigma), past])
+        count = np.exp(params[4:])
+        comb, by_sigma = count[:n.size], np.array([s0 * (1 - n), s1 * n]) / sigma
+        by_param = np.column_stack([comb @ by_center, (comb * n) @ by_center,
+                                    *((comb * by_sigma) @ by_width), cells.T])
+        mu = count @ cells
+        by_param[mu < MIN_EXPECTED] = 0.0
+        mu = np.maximum(mu, MIN_EXPECTED)
+        # the deviance, in a form without cancellation near mu = y
+        t = np.divide(mu - y, y, out=np.zeros_like(y), where=y > 0)
+        deviance = 2.0 * np.where(y > 0, y * (t - np.log1p(t)), mu)
+        return np.sign(mu - y) * np.sqrt(np.maximum(deviance, 0.0)), mu, by_param
+
+    def jac(params):
+        r, mu, by_param = fit(params)
+        # d r / d mu = (mu - y) / (mu r), tending to 1 / sqrt(mu) at r = 0
+        d_mu = np.divide(mu - y, mu * r, out=1.0 / np.sqrt(mu), where=r != 0)
+        by_log_count = np.concatenate([np.ones(4), np.exp(params[4:])])
+        return d_mu[:, None] * by_param * by_log_count
+
+    start = np.concatenate([[x[j0], g, sigma0, sigma0],
+                            np.log(np.bincount(seed, counts)[n]), np.log(past @ y)])
+    p, r, converged, evaluations = _levenberg_marquardt(lambda q: fit(q)[0], jac, start)
+    deviance, dof = float(r @ r), max(int(np.count_nonzero(y)) - p.size, 1)
+    x0, g, s0, s1 = p[:4]
+    if not converged:
+        raise FitFailureError("comb fit did not converge within the iteration cap",
+                              reason="convergence", residual_norm=math.sqrt(deviance))
+    if not deviance / dof <= MAX_DEVIANCE_PER_DOF:
+        raise FitFailureError(f"deviance per degree of freedom {deviance / dof:.3g} > "
+                              f"{MAX_DEVIANCE_PER_DOF:g}", reason="quality")
+    if not np.all(s0**2 + n * (s1**2 - s0**2) > 0):
         detail = f"comb widths not positive: sigma_0 = {s0:.4g}, sigma_1 = {s1:.4g}"
         raise FitFailureError(detail, reason="comb")
-    window = np.diff(np.concatenate([[0.0], np.cumsum(counts)])[np.r_[0, first, counts.size]])
-    window[0] += hist.n_underflow
-    window[-1] += hist.n_overflow
-    mixing = gaussian_cells(hist.bin_edges[first], centers, np.sqrt(variances)).T
-    full = np.flatnonzero(window)
-    inverse = np.linalg.inv(mixing[np.ix_(full, full)])
-    unfolded, covariance = np.zeros(n_windows), np.zeros((n_windows, n_windows))
-    unfolded[full] = inverse @ window[full]
-    covariance[np.ix_(full, full)] = (inverse * window[full]) @ inverse.T
-    if np.any(unfolded < 0):
-        w = int(np.argmin(unfolded))
-        detail = f"negative unfolded count {unfolded[w]:.4g} at n={w}"
-        raise FitFailureError(f"{detail} (window count {window[w]:g})", reason="negative_count")
-    diagnostics = dict(asdict(quality), x0=x0, g=g, sigma0=s0, sigma1=s1,
-                       window_edges=hist.bin_edges[first].tolist(),
-                       condition_number=float(np.linalg.cond(mixing)))
-    return CountVector(unfolded, np.sqrt(np.diag(covariance)), covariance), diagnostics
+    # the inverse Fisher matrix (W^T W)^-1, W = (d mu / d params) / sqrt(mu), from
+    # the pseudo-inverse of W with unit columns: the counts span six decades
+    _, mu, by_param = fit(p)
+    w = by_param / np.sqrt(mu)[:, None]
+    scale = np.where(w.any(axis=0), np.linalg.norm(w, axis=0), 1.0)
+    # each count goes to its photon number, the count past the comb to the last
+    fold = np.eye(n_windows)[:, np.r_[n, [n_windows - 1] * len(past)].astype(int)]
+    root = fold @ (np.linalg.pinv(w / scale) / scale[:, None])[4:]
+    covariance = root @ root.T
+    diagnostics = dict(deviance=deviance, degrees_of_freedom=dof, deviance_per_dof=deviance / dof,
+                       evaluations=evaluations, x0=float(x0), g=float(g),
+                       sigma0=abs(float(s0)), sigma1=abs(float(s1)))
+    return CountVector(fold @ np.exp(p[4:]), np.sqrt(np.diag(covariance)), covariance), diagnostics
 
 
 def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):
-    """`comb_counts` of the ON and OFF spectra, with the trailing windows
-    empty on both sides (count 0 on both) dropped: (on counts, off counts,
-    {side: diagnostics}).  A side's FitFailureError is raised with a `side` key."""
+    """`comb_counts` of the ON and OFF spectra, with the trailing photon
+    numbers empty on both sides (count 0 on both) dropped: (on counts, off
+    counts, {side: diagnostics}).  A side's FitFailureError is raised with a
+    `side` key."""
     counts, diagnostics = {}, {}
     for side, hist in (("on", on), ("off", off)):
         try:

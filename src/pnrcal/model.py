@@ -27,6 +27,15 @@ import numpy as np
 from .errors import DomainError, UninformativeBinError
 
 OUT_OF_RANGE = "out-of-range"
+EIGHT_ULP = 8.0 * float(np.spacing(1.0))
+
+
+def _sum_or_one(v: np.ndarray) -> np.ndarray:
+    """The sum of `v` over its last axis (kept), or 1 where it lies within 8 ulp
+    of 1: renormalising moves entries by an ulp, which P(i) - B(i) magnifies."""
+    total = v.sum(axis=-1, keepdims=True)
+    total[abs(total - 1.0) <= EIGHT_ULP] = 1.0
+    return total
 
 
 @dataclass(frozen=True)
@@ -41,10 +50,9 @@ class PhotonNumberDistribution:
             raise DomainError("distribution needs a 1-D, non-empty vector")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise DomainError("probabilities must be finite and >= 0")
-        total = p.sum()
-        if total <= 0:
+        if p.sum() <= 0:
             raise DomainError("probabilities sum to zero")
-        p = p / total
+        p = p / _sum_or_one(p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -245,8 +253,7 @@ def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     k = c_on.shape[-1]
     sign, diff = _selection(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = c_on.sum(axis=-1, keepdims=True)
-        t = c_off.sum(axis=-1, keepdims=True)
+        s, t = _sum_or_one(c_on), _sum_or_one(c_off)
         p, b = c_on / s, c_off / t
         den = b @ diff.T
         den[..., k] = 1.0

@@ -332,11 +332,14 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
 
 
 def _closure_seed(seed: int, score):
-    """(score(), None) for one seed, or (None, its failure record)."""
+    """(score(), None) for one seed, or (None, its failure record): the
+    seed, the exception's `side` and `reason` keys, and the exception."""
     try:
         return score(), None
     except Exception as exc:  # recorded, not fatal
-        return None, f"seed={seed} stage_error={exc!r}"
+        keys = "".join(f" {k}={v}" for k, v in getattr(exc, "keys", {}).items()
+                       if k in ("side", "reason"))
+        return None, f"seed={seed}{keys} stage_error={exc!r}"
 
 
 def closure_test(

@@ -22,8 +22,7 @@ from pnrcal.cli import (
     main,
 )
 from pnrcal.histogram import (
-    MAX_QUALITY_RATIO,
-    MIN_COMB_SEPARATION,
+    MAX_DEVIANCE_PER_DOF,
     AmplitudeHistogram,
     build_histogram,
     count_photons,
@@ -199,8 +198,8 @@ class TestFit:
         save_histogram_csv(build_histogram(samples, 160, (-0.5, 1.5)), path)
         assert main(["fit", str(path), "--peaks", "2", "--out", str(tmp_path)]) == EXIT_FIT
         keys = capsys.readouterr().err.split(" detail=")[0].split()
-        assert keys[0] == "error=fit" and len(keys) == 2
-        assert keys[1].startswith("residual_norm=") and float(keys[1].split("=")[1]) > 0
+        assert keys[:2] == ["error=fit", "reason=convergence"] and len(keys) == 3
+        assert keys[2].startswith("residual_norm=") and float(keys[2].split("=")[1]) > 0
 
 
 class TestCalibrateBypass:
@@ -324,22 +323,22 @@ class TestCalibrateEndToEnd:
             "[inputs]\n"
             f"on_amplitudes = {run / 'on.csv'}\n"
             f"off_amplitudes = {run / 'off.csv'}\n\n"
-            "[fit]\nn_peaks = 4\nbins = 150\n",
+            "[fit]\nn_peaks = 6\nbins = 150\n",
         )
         out = tmp_path / "rep"
         assert main(["calibrate", cal, "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "calibration.json").read_text())
         g0 = doc["estimates"]["gamma0"]
         assert abs(g0["fraction"] - 0.3) < 4 * g0["u_fraction"]
-        assert doc["fit_quality"]["on"]["ratio"] < 1e-2
-        # the comb that placed the windows, for each side
+        # the fitted comb and its deviance, for each side
         for side in ("on", "off"):
             comb = doc["fit_quality"][side]
             assert abs(comb["x0"]) < 0.01 and abs(comb["g"] - 1.0) < 0.01
             assert 0.07 < comb["sigma0"] < 0.09 and 0.07 < comb["sigma1"] < 0.09
-            assert len(comb["window_edges"]) == 3
-            assert 1.0 <= comb["condition_number"] < 1.01
-            assert "peaks_used" not in comb
+            assert comb["deviance_per_dof"] < MAX_DEVIANCE_PER_DOF
+            assert comb["deviance"] == comb["deviance_per_dof"] * comb["degrees_of_freedom"]
+            assert comb["evaluations"] > 0
+            assert "window_edges" not in comb and "condition_number" not in comb
         assert doc["inputs"]["has_covariance"]
 
     def test_inputs_reports_identical_across_processes(self, tmp_path):
@@ -437,8 +436,8 @@ class TestFitQualityGate:
         return path
 
     def test_poor_fit_exit_3(self, tmp_path, capsys):
-        # two fitted peaks describe the ON histogram; the OFF histogram's
-        # third peak is left unfitted, a chi2/TSS ratio of about 8e-4
+        # a 2-peak comb describes the ON histogram; the OFF histogram's
+        # third peak is left unfitted, a deviance per dof of about 1600
         on = self.histogram_csv(tmp_path, "on.csv", [4000, 1000, 0])
         for off_events, code in (([4000, 1000, 0], EXIT_OK),
                                  ([4000, 1000, 1000], EXIT_FIT)):
@@ -453,9 +452,9 @@ class TestFitQualityGate:
             assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == code
             err = capsys.readouterr().err
             if code == EXIT_FIT:
-                assert "error=fit" in err and "off fit quality ratio" in err
-                ratio = float(err.split("ratio ")[1].split()[0])
-                assert ratio > MAX_QUALITY_RATIO
+                assert "error=fit" in err and "off deviance per degree of freedom" in err
+                per_dof = float(err.split("freedom ")[1].split()[0])
+                assert per_dof > 100 * MAX_DEVIANCE_PER_DOF
                 # the side and reason come as keys before the detail
                 keys = err.split(" detail=")[0].split()
                 assert keys == ["error=fit", "side=off", "reason=quality"]
@@ -504,13 +503,13 @@ class TestReadmePipeline:
             assert abs(e.gamma - README_EXPERIMENT.gamma_true) <= 3.0 * e.u_gamma, (name, e)
 
 
-class TestOverlapGate:
-    def test_overlapping_peaks_exit_3(self, tmp_path, capsys):
-        # peaks 0.4 apart at sigma 0.08: 5 widths, where window counts fail
-        assert 5.0 < MIN_COMB_SEPARATION < 6.7
+class TestOverlappingPeaks:
+    def test_counted_within_u(self, tmp_path, capsys):
+        # peaks 0.4 apart at sigma 0.08: 5 widths, where counting between
+        # the comb midpoints failed
         edges = np.linspace(-0.5, 1.5, 101)
-        paths = {}
-        for side, events in (("on", [40000, 10000]), ("off", [40000, 3000])):
+        paths, truth = {}, {"on": [40000, 10000], "off": [40000, 3000]}
+        for side, events in truth.items():
             cdf = ndtr((edges - 0.4 * np.arange(2)[:, None]) / 0.08)
             counts = np.round(np.asarray(events, dtype=float) @ np.diff(cdf, axis=1))
             paths[side] = tmp_path / f"{side}.csv"
@@ -522,11 +521,14 @@ class TestOverlapGate:
             f"on_histogram = {paths['on']}\noff_histogram = {paths['off']}\n\n"
             "[fit]\nn_peaks = 2\n",
         )
-        assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == EXIT_FIT
-        err = capsys.readouterr().err
-        assert err.split(" detail=")[0].split() == ["error=fit", "side=on", "reason=overlap"]
-        assert "peaks overlap" in err
-        assert not (tmp_path / "rep").exists()
+        assert main(["calibrate", cal, "--out", str(tmp_path / "rep")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        inputs = json.loads((tmp_path / "rep" / "calibration.json").read_text())["inputs"]
+        got = dict(zip(inputs["names"], zip(inputs["values"], inputs["uncertainties"])))
+        for side, events in truth.items():
+            for n, want in enumerate(events):
+                value, u = got[f"C_{side}_{n}"]
+                assert abs(value - want) < u, (side, n, value, u)
 
 
 class TestBudget:
@@ -599,7 +601,7 @@ EMPTY_N2 = (("on = 5.069e6 5.0200e4 118", "on = 5.069e6 5.02e4 0"),
             ("off = 5.103e6 1.4600e4 23.9", "off = 5.103e6 1.46e4 0"),
             ("off_u = 1.4e4 150 1.5", "off_u = 1.4e4 150 0"))
 
-# (id, argv from tmp_path, exit code, first key=value on stderr)
+# (id, argv from tmp_path, exit code, the key=value pairs on stderr before detail=)
 EXIT_CASES = [
     ("simulate-missing-field",
      lambda t: ["simulate", write(t, "exp.ini", EXPERIMENT.replace("seed = 4242\n", ""))],
@@ -609,7 +611,8 @@ EXIT_CASES = [
      EXIT_CONFIG, "error=config"),
     ("fit-missing-file", lambda t: ["fit", str(t / "nope.csv")], EXIT_CONFIG, "error=config"),
     ("fit-impossible-peaks",
-     lambda t: ["fit", _impossible_peaks_histogram(t), "--peaks", "5"], EXIT_FIT, "error=fit"),
+     lambda t: ["fit", _impossible_peaks_histogram(t), "--peaks", "5"], EXIT_FIT,
+     "error=fit reason=degenerate"),
     ("calibrate-missing-counts",
      lambda t: ["calibrate", write(t, "cal.ini", "[herald]\nxi = 0.9\n"), "--bypass-fit"],
      EXIT_CONFIG, "error=config"),
@@ -619,7 +622,13 @@ EXIT_CASES = [
     ("calibrate-flat-off",
      lambda t: ["calibrate", _table_counts(t, *FLAT_OFF), "--bypass-fit"],
      EXIT_UNINFORMATIVE, "error=uninformative_bin"),
-    ("calibrate-poor-fit", lambda t: ["calibrate", _poor_fit_config(t)], EXIT_FIT, "error=fit"),
+    ("calibrate-poor-fit", lambda t: ["calibrate", _poor_fit_config(t)], EXIT_FIT,
+     "error=fit side=off reason=quality"),
+    ("calibrate-zero-peaks",
+     lambda t: ["calibrate", _table_counts(t), "--bypass-fit", "--peaks", "0"],
+     EXIT_CONFIG, "error=config"),
+    ("calibrate-zero-bins", lambda t: ["calibrate", _poor_fit_config(t), "--bins", "0"],
+     EXIT_CONFIG, "error=config"),
     ("budget-missing-counts",
      lambda t: ["budget", write(t, "cal.ini", "[herald]\nxi = 0.9\n"), "--bypass-fit"],
      EXIT_CONFIG, "error=config"),
@@ -637,7 +646,8 @@ EXIT_CASES = [
 
 class TestExitCodes:
     """One input per failure class of each command: its exit code, the
-    first stderr key, and nothing on stdout or in the --out directory."""
+    stderr keys before the detail (an exit 3 names its reason), and nothing
+    on stdout or in the --out directory."""
 
     @pytest.mark.parametrize("argv, code, key", [c[1:] for c in EXIT_CASES],
                              ids=[c[0] for c in EXIT_CASES])
@@ -648,7 +658,7 @@ class TestExitCodes:
         assert main(args) == code
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].split()[0] == key, lines
+        assert len(lines) == 1 and lines[0].split(" detail=")[0] == key, lines
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

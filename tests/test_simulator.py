@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare, poisson
 
-from pnrcal.errors import ConfigError, DomainError
+from pnrcal.errors import ConfigError, DomainError, FitFailureError
 from pnrcal.simulator import (
     ClosureReport,
     ExperimentConfig,
@@ -389,16 +389,47 @@ class TestClosure:
             result.combined.gamma, result.combined.u_gamma
         )
 
-    def test_negative_count_seed_names_its_reason(self):
-        # sigma 0.15, root 0: one of its two seeds has a single OFF event in
-        # the n=2 window, fewer than the n=1 peak spills into it
+    def test_sparse_off_n2_seed_counts_within_u(self):
+        # sigma 0.15, root 0: one of its two seeds has a single OFF event
+        # within 0.5 of n=2, fewer than the n=1 peak spills there, which
+        # unfolding window counts turned into a negative count
         cfg = make_config(gamma_true=0.00709, xi_true=0.98794,
                           background_mean=0.00286, n_pulses=2_200_000,
                           peak_widths=(0.15,) * 4, seed=0)
         report = closure_test(cfg, n_seeds=2, n_bins=200, max_index=2)
-        assert report.n_completed == 1
-        [failure] = report.failures
-        assert "stage_error=FitFailureError('off negative unfolded count" in failure
+        assert report.n_completed == 2 and report.failures == ()
+        for seed in np.random.SeedSequence(cfg.seed).spawn(2):
+            seeded = dataclasses.replace(cfg, seed=int(seed.generate_state(1)[0]))
+            on, off, tallies = simulate_histograms(seeded, 200, (-0.9, 2.9))
+            counted = count_photons(on, off, 3)[:2]
+            for c, truth in zip(counted, (tallies.on_counts_by_n, tallies.off_counts_by_n)):
+                assert np.all(np.abs(c.counts - truth[:3]) < c.uncertainties), (c, truth)
+
+    def test_overlapping_peaks_20_seeds(self):
+        # sigma 0.2: g / sigma_1 = 5, where window counts refused every seed
+        cfg = make_config(gamma_true=0.00709, xi_true=0.98794,
+                          background_mean=0.00286, n_pulses=2_200_000,
+                          peak_widths=(0.2,) * 4, seed=7)
+        report = closure_test(cfg, n_seeds=20, n_bins=200, max_index=2, jobs=2)
+        assert report.n_completed == 20, report.failures[:3]
+        for name in ("gamma0", "gamma1", "gamma2"):
+            e = report.estimator(name)
+            assert abs(e.bias) <= 3.0 * e.spread / math.sqrt(e.n_success), (name, e)
+            assert 0.4 <= e.pull_variance <= 2.0, (name, e.pull_variance)
+
+    def test_failure_record_keeps_side_and_reason(self, monkeypatch):
+        def refuse(*args):
+            raise FitFailureError("off deviance per degree of freedom 9 > 3",
+                                  side="off", reason="quality", residual_norm=1.0)
+
+        monkeypatch.setattr(hg, "count_photons", refuse)
+        report = closure_test(make_config(n_pulses=5_000), n_seeds=2)
+        assert report.n_completed == 0 and len(report.failures) == 2
+        for failure in report.failures:
+            seed, keys = failure.split(" stage_error=")[0].split(" ", 1)
+            assert seed.startswith("seed=") and keys == "side=off reason=quality"
+            assert failure.endswith("stage_error=FitFailureError('off deviance per degree "
+                                    "of freedom 9 > 3')")
 
     def test_unscored_estimator_gets_no_row(self, monkeypatch):
         # every seed dropped n=2, so gamma2 has no value to average
