@@ -268,7 +268,7 @@ def cmd_closure(args) -> int:
     if args.seeds < 2:
         return _fail(EXIT_CONFIG, error="usage", detail="need --seeds >= 2")
     config = _experiment_config(args.config, args.seed)
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = (os.cpu_count() or 1) if args.jobs is None else _positive(args.jobs, "--jobs")
     n_bins = 200 if args.bins is None else _positive(args.bins, "--bins")
     report = sim.closure_test(config, args.seeds, n_bins=n_bins, jobs=jobs)
     out = reports.ensure_dir(args.out)

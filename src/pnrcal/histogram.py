@@ -1,10 +1,12 @@
 """Pulse-amplitude histograms, Gaussian-mixture fits and comb-fit counts.
 
 The amplitude spectrum of a photon-number-resolving detector shows one
-Gaussian peak per detected photon number.  `fit_mixture` fits a sum of
-Gaussians A_i * exp(-(x - x_i)^2 / (2 sigma_i^2)) to the binned spectrum.
-`count_photons` counts each photon number by a binned Poisson-likelihood
-fit of an equally spaced comb of Gaussian peaks to the whole spectrum.
+Gaussian peak per detected photon number.  Every fit here is one binned
+Poisson-likelihood fit (`_poisson_fit`) in which each cell expects the sum
+over peaks of the peak's count times the cell's Gaussian mass.
+`fit_mixture` fits free peaks to the bins; `count_photons` counts each
+photon number by a fit of an equally spaced comb of peaks to the whole
+spectrum.
 """
 
 from __future__ import annotations
@@ -21,17 +23,21 @@ from .model import CountVector
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Convergence policy: relative cost change below FTOL within the iteration
-# cap, Levenberg-Marquardt with the analytic Jacobian of the Gaussian sum.
+# Convergence policy: relative deviance change below FTOL within the iteration
+# cap, Levenberg-Marquardt with the analytic Jacobian of the cell model.
 FTOL = 1e-10
 MAX_ITER = 200
+# `fit_mixture` then takes Gauss-Newton steps until each parameter moves by at
+# most 1e-12 of itself: the cost test stops LM where the deviance is flat to
+# rounding, about 3e-7 u short of the optimum, and a refit would move on
+FINISH_STEPS = 8
 MIN_PEAK_SEPARATION_BINS = 3
 # largest comb-fit Poisson deviance per degree of freedom: 8000 paper-scale
 # closure fits at sigma 0.08-0.2 reach 1.9, an unmodelled peak gives 1600
 MAX_DEVIANCE_PER_DOF = 3.0
-# floor on a cell's expected count in the comb fit, where its derivatives
-# are taken as zero: a start model that underflows in a populated cell
-# would give the Jacobian entries near 1e135
+# floor on a cell's expected count, where its derivatives are taken as zero:
+# a start model that underflows in a populated cell would give the Jacobian
+# entries near 1e135
 MIN_EXPECTED = 1e-9
 
 
@@ -131,33 +137,6 @@ class MixtureFit:
         )
 
 
-def _gaussian_terms(x: np.ndarray, params: np.ndarray):
-    """Each peak's A, x - x0 and sigma, and exp(-(x - x0)^2 / (2 sigma^2)),
-    as (peaks, bins) arrays.  `params` is copied: the solver passes a
-    buffer it goes on to overwrite, and the terms outlive the call."""
-    p = np.array(params, dtype=float).reshape(-1, 3, 1)
-    a, mu, sig = p[:, 0], p[:, 1], p[:, 2]
-    d = np.asarray(x, dtype=float) - mu
-    # float_power is libm pow, as `**` on a scalar is; `**` on an array
-    # squares or takes a SIMD pow, which differ in the last bit
-    g = np.exp(-(d**2) / (2.0 * np.float_power(sig, 2)))
-    return a, d, sig, g
-
-
-def _gaussian_jacobian(a, d, sig, g) -> np.ndarray:
-    """(bins, 3 * peaks) derivatives of the Gaussian sum by (A, x0, sigma)."""
-    ag = a * g
-    columns = (g, ag * d / np.float_power(sig, 2), ag * d**2 / np.float_power(sig, 3))
-    # (bins, peaks, 3), flattened to the (A, x0, sigma) order of params
-    return np.stack(columns, axis=-1).transpose(1, 0, 2).reshape(d.shape[1], -1)
-
-
-def gaussian_sum(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Sum of Gaussians; params = (A, x0, sigma) per peak, flattened."""
-    a, _, _, g = _gaussian_terms(x, params)
-    return (a * g).sum(axis=0)
-
-
 def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """(peaks, edges + 1) mass of each Gaussian below edges[0], between
     consecutive edges and above edges[-1]; each row sums to one."""
@@ -165,6 +144,17 @@ def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -
 
     z = (edges - centers[:, None]) / widths[:, None]
     return np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0)
+
+
+def _cell_slopes(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """(2, peaks, edges + 1) derivatives of the `gaussian_cells` masses by each
+    peak's centre and by its width."""
+    z = (edges - centers[:, None]) / widths[:, None]
+    # each edge's share by the centre and the width; infinite edges add nothing
+    at_edges = np.zeros((2, centers.size, edges.size + 2))
+    at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
+    at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
+    return np.diff(at_edges)
 
 
 def build_histogram(
@@ -278,25 +268,89 @@ def _levenberg_marquardt(residuals, jac, p_start):
     return p, info["fvec"], 1 <= ier <= 4, int(info["nfev"])
 
 
+def _scaled_pinv(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of m, taken with unit columns: the parameters and counts
+    of a fit span many decades."""
+    scale = np.where(m.any(axis=0), np.linalg.norm(m, axis=0), 1.0)
+    return np.linalg.pinv(m / scale) / scale[:, None]
+
+
+def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
+    """Binned Poisson-likelihood fit of a model of counts to the cell counts y
+    (Baker & Cousins 1984, NIM 221:437).
+
+    The parameters are the model's shape parameters, then the log of each of
+    its counts N_k.  `model(params)` gives the counts, the (counts, cells)
+    mass of each count in each cell and the (shape, cells) derivatives of the
+    cells' expectation by the shape parameters.  A cell expects mu = sum_k N_k
+    times its mass k, floored at MIN_EXPECTED.  One solve minimises the
+    deviance over signed deviance residuals.  Returns the solution, the residuals there,
+    whether it converged, the evaluations, `step` and `root`: `step(params)`
+    gives the params one Gauss-Newton step on, and `root(params)` is R, with
+    R R^T the inverse Fisher matrix of the shape parameters and the counts
+    (not their logs).  A start point where a parameter or a residual is not
+    finite raises FitFailureError with reason "seed".
+    """
+
+    @_last_value
+    def fit(params):
+        """Each cell's signed deviance residual; its expectation mu; the
+        derivatives of mu by each parameter and each count, zero below the
+        floor; and the counts."""
+        count, masses, by_shape = model(params)
+        # stacked column by column: the memory layout sets the order in which
+        # `root` sums each column's norm, and so the last bits of a covariance
+        by_param = np.column_stack([*by_shape, masses.T])
+        mu = count @ masses
+        by_param[mu < MIN_EXPECTED] = 0.0
+        mu = np.maximum(mu, MIN_EXPECTED)
+        # the deviance, in a form without cancellation near mu = y
+        t = np.divide(mu - y, y, out=np.zeros_like(y), where=y > 0)
+        deviance = 2.0 * np.where(y > 0, y * (t - np.log1p(t)), mu)
+        return np.sign(mu - y) * np.sqrt(np.maximum(deviance, 0.0)), mu, by_param, count
+
+    def jac(params):
+        r, mu, by_param, count = fit(params)
+        # d r / d mu = (mu - y) / (mu r), tending to 1 / sqrt(mu) at r = 0
+        d_mu = np.divide(mu - y, mu * r, out=1.0 / np.sqrt(mu), where=r != 0)
+        by_log_count = np.concatenate([np.ones(params.size - count.size), count])
+        return d_mu[:, None] * by_param * by_log_count
+
+    def step(params):
+        return params - _scaled_pinv(jac(params)) @ fit(params)[0]
+
+    def root(params):
+        # (W^T W)^-1 = W^+ W^+^T, W = (d mu / d params) / sqrt(mu)
+        _, mu, by_param, _ = fit(params)
+        return _scaled_pinv(by_param / np.sqrt(mu)[:, None])
+
+    bad = np.count_nonzero(~np.isfinite(np.concatenate([start, fit(start)[0]])))
+    if bad:
+        raise FitFailureError(f"fit not finite at the start point ({bad} of {start.size} "
+                              f"parameters and {y.size} residuals)", reason="seed")
+    return (*_levenberg_marquardt(lambda q: fit(q)[0], jac, start), step, root)
+
+
 def fit_mixture(
     hist: AmplitudeHistogram,
     n_peaks: int,
     init: list[GaussianPeak] | None = None,
 ) -> MixtureFit:
-    """Levenberg-Marquardt fit of a sum of Gaussians to the histogram.
+    """Binned Poisson-likelihood fit of a sum of Gaussian peaks to the histogram.
 
-    Each solve is MINPACK's `lmder` through `scipy.optimize.leastsq` with
-    the analytic Jacobian; a solver step evaluates the Gaussian terms once,
-    and the Jacobian at the same parameters reuses them.  The first solve
-    scales each bin residual by 1/sqrt(max(count, 1)); the weights are then
-    taken from the model, 1/sqrt(max(model, 1)) (Pearson), and the refit
-    repeated to its fixed point.  The covariance comes from the Jacobian at
-    the solution with residual variance scaling.
-    Peaks are returned sorted by center.  A start point where a residual
-    is not finite raises FitFailureError, and so does a fitted peak that is
-    not finite, narrower than one bin, or centred outside the histogram (a
-    runaway component), naming the peak, its center and sigma and the
-    condition it failed.
+    Peak k holds N_k events with centre x_k and width sigma_k, and each bin
+    expects sum_k N_k times its `gaussian_cells` mass; under- and overflow are
+    not fitted.  `_poisson_fit` solves for x_k, sigma_k and log N_k, started
+    from `init` or from the histogram's most prominent maxima with N = A sigma
+    sqrt(2 pi) / w, and FINISH_STEPS Gauss-Newton steps at most finish the
+    solve.  The covariance is the inverse Fisher matrix there, taken to each
+    peak's (A, x, sigma) by A = N w / (sigma sqrt(2 pi)).
+    Peaks are returned sorted by center.  FitFailureError's `reason` is "seed"
+    (too few maxima, or a start point that is not finite, as from a zero
+    amplitude),
+    "degenerate" (a fitted peak that is not finite, narrower than one bin, or
+    centred outside the histogram: a spike or a runaway component, named with
+    its center and sigma and the condition it failed) or "convergence".
     """
     if n_peaks < 1:
         raise DomainError("need at least one peak")
@@ -305,100 +359,57 @@ def fit_mixture(
     if hist.total <= 0:
         raise DomainError("histogram is empty")
 
-    x = hist.bin_centers
-    y = hist.counts
     if init is not None:
         if len(init) != n_peaks:
             raise DomainError("init must provide one peak per requested peak")
-        p0 = np.array(
-            [v for p in init for v in (p.amplitude, p.center, p.sigma)]
-        )
+        seeds = np.array([(p.amplitude, p.center, p.sigma) for p in init])
     else:
-        p0 = _seed_from_maxima(hist, n_peaks)
+        seeds = _seed_from_maxima(hist, n_peaks).reshape(-1, 3)
+    k, w, edges = n_peaks, hist.bin_width, hist.bin_edges
+    a, x, s = seeds.T
 
-    def solve(p_start, w):
-        """One LM solve: (x, residuals at x, converged, Jacobian function)."""
-        terms = _last_value(lambda params: _gaussian_terms(x, params))
-
-        def residuals(params):
-            a, _, _, g = terms(params)
-            return ((a * g).sum(axis=0) - y) * w
-
-        def jac(params):
-            return _gaussian_jacobian(*terms(params)) * w[:, None]
-
-        bad = np.count_nonzero(~np.isfinite(residuals(p_start)))
-        if bad:
-            raise FitFailureError(
-                f"mixture fit residuals are not finite at the start point "
-                f"({bad} of {y.size} bins)",
-                reason="seed",
-            )
-        p, fvec, converged, _ = _levenberg_marquardt(residuals, jac, p_start)
-        return p, fvec, converged, jac
+    def model(params):
+        """The peaks' counts, their bin masses, and the derivatives of the bins'
+        expectation by each centre and each width; the model is even in the
+        widths."""
+        centers, widths, count = params[:k], np.abs(params[k:2 * k]), np.exp(params[2 * k:])
+        by_center, by_width = _cell_slopes(edges, centers, widths)[:, :, 1:-1]
+        by_width *= (count * np.sign(params[k:2 * k]))[:, None]
+        return count, gaussian_cells(edges, centers, widths)[:, 1:-1], np.vstack(
+            [count[:, None] * by_center, by_width])
 
     # a runaway component overflows the model on its way out of the
-    # histogram; it is rejected below, so the overflow is no error
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Start from observed-count weights, then reweight by the model
-        # (Pearson): observed-count weights bias low-count peak areas and
-        # misstate their variances.  The first pass only preconditions
-        # the Pearson stages, so hitting its iteration cap is not fatal.
-        p = solve(p0, 1.0 / np.sqrt(np.maximum(y, 1.0)))[0]
-        # Iterate the reweighting to its fixed point so refits started
-        # from the solution reproduce it.  At least one Pearson pass must
-        # converge within the iteration cap.
-        converged = False
-        for attempt in range(8):
-            w = 1.0 / np.sqrt(np.maximum(gaussian_sum(x, p), 1.0))
-            prev = p
-            p, fvec, ok, jac = solve(p, w)
-            converged = converged or ok
-            step = np.abs(p - prev)
-            if converged and np.all(step <= 1e-12 * np.maximum(np.abs(p), 1e-300)):
+    # histogram; it is rejected below, so the overflow is no error.  A zero
+    # amplitude starts at log count -inf, refused as a start not finite.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        start = np.concatenate([x, s, np.log(a * np.abs(s) * SQRT_2PI / w)])
+        p, r, converged, _, step, root = _poisson_fit(hist.counts, model, start)
+        for _ in range(FINISH_STEPS if converged else 0):
+            prev, p = p, step(p)
+            if np.all(np.abs(p - prev) <= 1e-12 * np.abs(p)):
                 break
-        if not converged:
-            raise FitFailureError(
-                "mixture fit did not converge within the iteration cap",
-                reason="convergence",
-                residual_norm=float(np.linalg.norm(fvec)),
-            )
-        # at the solution: the solver's last evaluation may be a rejected step
-        J = jac(p)
-
-    params = p.copy()
-    # sign of sigma is unidentifiable; canonicalize
-    params[2::3] = np.abs(params[2::3])
-    params[0::3] = np.abs(params[0::3])
-
-    order = np.argsort(params[1::3])
-    perm = np.concatenate([[3 * k, 3 * k + 1, 3 * k + 2] for k in order])
-    # before the covariance: a runaway's Jacobian is not finite
-    _reject_degenerate(params[perm], hist)
-
-    jtj = J.T @ J
-    # Empty bins carry no information; keeping them in the dof would dilute
-    # the residual variance scale.
-    dof = max(int(np.count_nonzero(y)) - params.size, 1)
-    s2 = np.dot(fvec, fvec) / dof
-    cov = np.linalg.pinv(jtj) * s2
-
-    params = params[perm]
-    cov = cov[np.ix_(perm, perm)]
-
-    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    peaks = tuple(
-        GaussianPeak(
-            amplitude=params[3 * k],
-            center=params[3 * k + 1],
-            sigma=params[3 * k + 2],
-            u_amplitude=sig[3 * k],
-            u_center=sig[3 * k + 1],
-            u_sigma=sig[3 * k + 2],
+        p[k:2 * k] = np.abs(p[k:2 * k])
+        x, s, count = p[:k], p[k:2 * k], np.exp(p[2 * k:])
+        per_event = w / (s * SQRT_2PI)
+        order = np.argsort(x)
+        params = np.column_stack([count * per_event, x, s])[order].ravel()
+    _reject_degenerate(params, hist)
+    if not converged:
+        raise FitFailureError(
+            "mixture fit did not converge within the iteration cap",
+            reason="convergence",
+            residual_norm=float(np.linalg.norm(r)),
         )
-        for k in range(n_peaks)
-    )
-    quality = _quality(params, hist, n_peaks)
+    # d (A, x, sigma) / d (x, sigma, N), rows per peak in order of center
+    eye, zero = np.eye(k), np.zeros((k, k))
+    to_peaks = np.block([[zero, np.diag(-count * per_event / s), np.diag(per_event)],
+                         [eye, zero, zero], [zero, eye, zero]])
+    root_peaks = to_peaks[(order[:, None] + k * np.arange(3)).ravel()] @ root(p)
+    cov = root_peaks @ root_peaks.T
+
+    u = np.sqrt(np.diag(cov))
+    peaks = tuple(GaussianPeak(*params[3 * j:3 * j + 3], *u[3 * j:3 * j + 3]) for j in range(k))
+    quality = _quality(count @ gaussian_cells(edges, x, s)[:, 1:-1], hist, n_peaks)
     return MixtureFit(peaks=peaks, covariance=cov, quality=quality)
 
 
@@ -425,15 +436,15 @@ def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:
         )
 
 
-def _quality(params: np.ndarray, hist: AmplitudeHistogram, n_peaks: int) -> FitQuality:
-    """Reduced chi-square (Poisson bin variances, floored at one count),
-    reduced total sum of squares about the histogram mean, and their ratio."""
+def _quality(expected: np.ndarray, hist: AmplitudeHistogram, n_peaks: int) -> FitQuality:
+    """Reduced chi-square of the expected bin contents (Poisson bin variances,
+    floored at one count), reduced total sum of squares about the histogram
+    mean, and their ratio."""
     y = hist.counts
-    model = gaussian_sum(hist.bin_centers, params)
     dof = int(np.count_nonzero(y)) - 3 * n_peaks
     if dof <= 0:
         raise DomainError("non-positive degrees of freedom")
-    chi2 = float(np.sum((y - model) ** 2 / np.maximum(y, 1.0)))
+    chi2 = float(np.sum((y - expected) ** 2 / np.maximum(y, 1.0)))
     red_chi2 = chi2 / dof
     tss = float(np.sum((y - y.mean()) ** 2))
     red_tss = tss / max(y.size - 1, 1)
@@ -474,11 +485,11 @@ def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, 
     n (sigma_1^2 - sigma_0^2) and count N_n.  A cell (the underflow, each bin,
     the overflow) expects sum_n N_n times its `gaussian_cells` mass; overflow
     events that the comb does not explain, from photon numbers past it, go to
-    the last count.  One solve minimises the deviance over x0, g, sigma_0,
-    sigma_1 and log N_n, seeded at the tallest bin and the tallest bin more
-    than 4 sigma_0 above it.  A photon number with no events within g/2 of its
-    seed centre has count and variance 0.  The covariance is the inverse Fisher
-    matrix.  FitFailureError's `reason` is "seed", "convergence", "quality"
+    the last count.  One `_poisson_fit` solve minimises the deviance over x0,
+    g, sigma_0, sigma_1 and log N_n, seeded at the tallest bin and the tallest
+    bin more than 4 sigma_0 above it.  A photon number with no events within
+    g/2 of its seed centre has count and variance 0.  The covariance is the
+    inverse Fisher matrix.  FitFailureError's `reason` is "seed", "convergence", "quality"
     (deviance per degree of freedom above MAX_DEVIANCE_PER_DOF) or "comb" (a
     fitted photon number's sigma_n^2 not positive).
     """
@@ -497,42 +508,20 @@ def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, 
     y = np.concatenate([[hist.n_underflow], counts, [hist.n_overflow]])
     past = np.eye(y.size)[-1:] if y[-1] > 0 else np.empty((0, y.size))
 
-    @_last_value
-    def fit(params):
-        """Each cell's signed deviance residual; its expectation mu, floored at
-        MIN_EXPECTED; and the derivatives of mu by x0, g, sigma_0, sigma_1 and
-        each count, zero below the floor."""
+    def model(params):
+        """The counts, their cell masses, and the derivatives of the cells'
+        expectation by x0, g, sigma_0 and sigma_1."""
         x0, g, s0, s1 = params[:4]
         centers, sigma = x0 + n * g, np.sqrt(s0**2 + n * (s1**2 - s0**2))
-        z = (edges - centers[:, None]) / sigma[:, None]
-        # each cell's mass by its peak's centre and width; infinite edges add nothing
-        at_edges = np.zeros((2, n.size, edges.size + 2))
-        at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * sigma[:, None])
-        at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
-        by_center, by_width = np.diff(at_edges)
-        cells = np.vstack([gaussian_cells(edges, centers, sigma), past])
+        by_center, by_width = _cell_slopes(edges, centers, sigma)
         count = np.exp(params[4:])
         comb, by_sigma = count[:n.size], np.array([s0 * (1 - n), s1 * n]) / sigma
-        by_param = np.column_stack([comb @ by_center, (comb * n) @ by_center,
-                                    *((comb * by_sigma) @ by_width), cells.T])
-        mu = count @ cells
-        by_param[mu < MIN_EXPECTED] = 0.0
-        mu = np.maximum(mu, MIN_EXPECTED)
-        # the deviance, in a form without cancellation near mu = y
-        t = np.divide(mu - y, y, out=np.zeros_like(y), where=y > 0)
-        deviance = 2.0 * np.where(y > 0, y * (t - np.log1p(t)), mu)
-        return np.sign(mu - y) * np.sqrt(np.maximum(deviance, 0.0)), mu, by_param
-
-    def jac(params):
-        r, mu, by_param = fit(params)
-        # d r / d mu = (mu - y) / (mu r), tending to 1 / sqrt(mu) at r = 0
-        d_mu = np.divide(mu - y, mu * r, out=1.0 / np.sqrt(mu), where=r != 0)
-        by_log_count = np.concatenate([np.ones(4), np.exp(params[4:])])
-        return d_mu[:, None] * by_param * by_log_count
+        by_shape = [comb @ by_center, (comb * n) @ by_center, *((comb * by_sigma) @ by_width)]
+        return count, np.vstack([gaussian_cells(edges, centers, sigma), past]), by_shape
 
     start = np.concatenate([[x[j0], g, sigma0, sigma0],
                             np.log(np.bincount(seed, counts)[n]), np.log(past @ y)])
-    p, r, converged, evaluations = _levenberg_marquardt(lambda q: fit(q)[0], jac, start)
+    p, r, converged, evaluations, _, root = _poisson_fit(y, model, start)
     deviance, dof = float(r @ r), max(int(np.count_nonzero(y)) - p.size, 1)
     x0, g, s0, s1 = p[:4]
     if not converged:
@@ -544,15 +533,10 @@ def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, 
     if not np.all(s0**2 + n * (s1**2 - s0**2) > 0):
         detail = f"comb widths not positive: sigma_0 = {s0:.4g}, sigma_1 = {s1:.4g}"
         raise FitFailureError(detail, reason="comb")
-    # the inverse Fisher matrix (W^T W)^-1, W = (d mu / d params) / sqrt(mu), from
-    # the pseudo-inverse of W with unit columns: the counts span six decades
-    _, mu, by_param = fit(p)
-    w = by_param / np.sqrt(mu)[:, None]
-    scale = np.where(w.any(axis=0), np.linalg.norm(w, axis=0), 1.0)
     # each count goes to its photon number, the count past the comb to the last
     fold = np.eye(n_windows)[:, np.r_[n, [n_windows - 1] * len(past)].astype(int)]
-    root = fold @ (np.linalg.pinv(w / scale) / scale[:, None])[4:]
-    covariance = root @ root.T
+    counts_root = fold @ root(p)[4:]
+    covariance = counts_root @ counts_root.T
     diagnostics = dict(deviance=deviance, degrees_of_freedom=dof, deviance_per_dof=deviance / dof,
                        evaluations=evaluations, x0=float(x0), g=float(g),
                        sigma0=abs(float(s0)), sigma1=abs(float(s1)))

@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise ConfigError("peak_centers and peak_widths must align")
         if any(w <= 0 for w in self.peak_widths):
             raise ConfigError("peak widths must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "peak_centers", tuple(self.peak_centers))
         object.__setattr__(self, "peak_widths", tuple(self.peak_widths))
 

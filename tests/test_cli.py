@@ -609,6 +609,9 @@ EXIT_CASES = [
     ("simulate-pileup",
      lambda t: ["simulate", write(t, "exp.ini", EXPERIMENT + "rep_period_us = 5.0\n")],
      EXIT_CONFIG, "error=config"),
+    ("simulate-negative-seed",
+     lambda t: ["simulate", write(t, "exp.ini", EXPERIMENT), "--seed", "-1"],
+     EXIT_CONFIG, "error=config"),
     ("fit-missing-file", lambda t: ["fit", str(t / "nope.csv")], EXIT_CONFIG, "error=config"),
     ("fit-impossible-peaks",
      lambda t: ["fit", _impossible_peaks_histogram(t), "--peaks", "5"], EXIT_FIT,
@@ -641,6 +644,12 @@ EXIT_CASES = [
     ("closure-one-seed",
      lambda t: ["closure", write(t, "exp.ini", EXPERIMENT), "--seeds", "1"],
      EXIT_CONFIG, "error=usage"),
+    ("closure-negative-seed",
+     lambda t: ["closure", write(t, "exp.ini", EXPERIMENT.replace("seed = 4242", "seed = -5"))],
+     EXIT_CONFIG, "error=config"),
+    ("closure-zero-jobs",
+     lambda t: ["closure", write(t, "exp.ini", EXPERIMENT), "--jobs", "0"],
+     EXIT_CONFIG, "error=config"),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -19,7 +20,6 @@ from pnrcal.histogram import (
     extract_counts,
     fit_mixture,
     gaussian_cells,
-    gaussian_sum,
     load_histogram_csv,
     save_histogram_csv,
 )
@@ -27,12 +27,13 @@ from pnrcal.simulator import ExperimentConfig, simulate_histograms, simulate_run
 
 
 def exact_histogram(peaks, lo=-1.0, hi=4.0, n_bins=250):
-    """Histogram whose bin counts equal the mixture evaluated at bin centers."""
+    """Histogram whose bin counts equal the expected contents of the mixture:
+    each peak holds A sigma sqrt(2 pi) / w events."""
     edges = np.linspace(lo, hi, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    params = np.concatenate([[p.amplitude, p.center, p.sigma] for p in peaks])
-    counts = gaussian_sum(centers, params)
-    return AmplitudeHistogram(bin_edges=edges, counts=counts)
+    events = np.array([p.area for p in peaks]) / (edges[1] - edges[0])
+    masses = gaussian_cells(edges, np.array([p.center for p in peaks]),
+                            np.array([p.sigma for p in peaks]))
+    return AmplitudeHistogram(bin_edges=edges, counts=(events @ masses)[1:-1])
 
 
 def noisy_two_peak(seed=7, n0=200_000, n1=4_000):
@@ -101,15 +102,16 @@ class TestFitMixture:
             assert abs(got.amplitude - want.amplitude) < 1e-6 * want.amplitude
 
     def test_idempotence_poisson(self):
-        # the reweighted objective is solved as a fixed-point iteration, so a
-        # restart reproduces the solution to the solver's flat-valley
-        # resolution rather than exactly
-        h = noisy_two_peak()
-        fit = fit_mixture(h, n_peaks=2)
-        refit = fit_mixture(h, n_peaks=2, init=fit.peaks)
-        a = fit.parameters
-        b = refit.parameters
-        assert np.all(np.abs(a - b) <= 1e-8 * np.abs(a))
+        # LM stops where the deviance is flat to rounding, and the
+        # Gauss-Newton finish takes the fit on to the optimum, so a restart
+        # from the solution reproduces it
+        cases = [(noisy_two_peak(), 2)] + [(low_count_histogram(seed), 4) for seed in range(200)]
+        for h, n_peaks in cases:
+            fit = fit_mixture(h, n_peaks=n_peaks)
+            refit = fit_mixture(h, n_peaks=n_peaks, init=fit.peaks)
+            a = fit.parameters
+            b = refit.parameters
+            assert np.all(np.abs(a - b) <= 1e-8 * np.abs(a))
 
     def test_init_permutation_safety(self):
         h = noisy_two_peak()
@@ -187,12 +189,14 @@ class TestFitMixture:
         assert err.value.keys == {"reason": "seed"}
 
     def test_non_finite_start_raises_fit_failure(self):
-        # an infinite amplitude makes every residual inf or NaN: a fit
-        # failure (exit 3 in `calibrate`), not a bare ValueError
+        # an infinite amplitude makes every residual inf or NaN, and a zero
+        # one starts the log count at -inf: a fit failure (exit 3 in
+        # `calibrate`), not a bare ValueError or a peak stuck at zero
         h = noisy_two_peak()
-        init = [GaussianPeak(math.inf, 0.0, 0.1)]
-        with pytest.raises(FitFailureError, match="not finite at the start"):
-            fit_mixture(h, 1, init=init)
+        for amplitude in (math.inf, 0.0):
+            with pytest.raises(FitFailureError, match="not finite at the start") as err:
+                fit_mixture(h, 1, init=[GaussianPeak(amplitude, 0.0, 0.1)])
+            assert err.value.keys == {"reason": "seed"}
 
     def test_covariance_shape_and_psd(self):
         h = noisy_two_peak()
@@ -202,65 +206,61 @@ class TestFitMixture:
         assert np.all(np.linalg.eigvalsh(fit.covariance) > -1e-12)
 
 
-def jacobian(x, params):
-    return hg._gaussian_jacobian(*hg._gaussian_terms(x, params))
+class _Captured(Exception):
+    pass
 
 
-class TestGaussianModel:
-    X = np.linspace(-0.4, 3.6, 150)
-    # LM visits negative amplitudes and widths; the model is even in sigma
-    PEAK_SETS = [
-        [(100.0, 1.0, 0.1)],
-        [(5000.0, 0.0, 0.08), (50.0, 1.0, 0.09), (1.0, 2.0, 0.10)],
-        [(-30.0, 0.5, 0.2), (200.0, 1.2, -0.15)],
-        [(40.0, 0.0, -0.08), (-5.0, 1.0, -0.3), (300.0, 2.1, 0.05), (8.0, 3.0, 0.4)],
-    ]
+def solver_problem(monkeypatch, fit, *args):
+    """The residuals, Jacobian and start point that `fit(*args)` hands to
+    Levenberg-Marquardt."""
+    got = {}
 
-    @pytest.mark.parametrize("peaks", PEAK_SETS)
-    def test_jacobian_matches_central_differences(self, peaks):
-        p = np.array(peaks, dtype=float).ravel()
-        numeric = np.empty((self.X.size, p.size))
-        for j in range(p.size):
-            h = 1e-6 * max(abs(p[j]), 1e-2)
-            up, down = p.copy(), p.copy()
-            up[j] += h
-            down[j] -= h
-            numeric[:, j] = (
-                gaussian_sum(self.X, up) - gaussian_sum(self.X, down)
-            ) / (2.0 * h)
-        analytic = jacobian(self.X, p)
-        assert analytic.shape == (self.X.size, p.size)
-        scale = np.abs(analytic).max(axis=0)
-        assert np.all(np.abs(analytic - numeric) <= 1e-6 * scale)
+    def capture(residuals, jac, start):
+        got.update(residuals=residuals, jac=jac, start=start)
+        raise _Captured
 
-    def test_equals_per_peak_formula_bit_for_bit(self):
-        # each peak on its own with scalar parameters, as the model is
-        # written; sigma 0.18231512161212451 is one where squaring an array
-        # and pow on a scalar round differently
-        rng = np.random.default_rng(11)
-        sets = [np.array([[120.0, 1.0, 0.18231512161212451]])] + [
-            np.column_stack([rng.uniform(-50, 500, 4), rng.uniform(-0.5, 3.5, 4),
-                             rng.uniform(-0.3, 0.3, 4)])
-            for _ in range(50)
-        ]
-        for p in sets:
-            model = np.zeros_like(self.X)
-            jac = np.empty((self.X.size, p.size))
-            for k, (a, mu, sig) in enumerate(p):
-                g = np.exp(-((self.X - mu) ** 2) / (2.0 * sig**2))
-                model += a * g
-                jac[:, 3 * k] = g
-                jac[:, 3 * k + 1] = a * g * (self.X - mu) / sig**2
-                jac[:, 3 * k + 2] = a * g * (self.X - mu) ** 2 / sig**3
-            assert gaussian_sum(self.X, p.ravel()).tobytes() == model.tobytes()
-            assert jacobian(self.X, p.ravel()).tobytes() == jac.tobytes()
+    monkeypatch.setattr(hg, "_levenberg_marquardt", capture)
+    with pytest.raises(_Captured):
+        fit(*args)
+    return got["residuals"], got["jac"], got["start"]
 
-    def test_terms_copy_params(self):
-        # the solver hands the model a buffer it overwrites later, so
-        # terms kept between calls must not view it
-        p = np.array([100.0, 1.0, 0.1, 20.0, 2.0, 0.2])
-        for term in hg._gaussian_terms(self.X, p):
-            assert not np.shares_memory(term, p)
+
+class TestPoissonFitJacobian:
+    """The engine's analytic Jacobian against central differences of its
+    residuals, for the mixture and the comb models, at the start point and
+    at a point off it."""
+
+    CASES = {
+        "mixture 2 peaks": lambda: (fit_mixture, noisy_two_peak(), 2),
+        "mixture 4 peaks": lambda: (fit_mixture, low_count_histogram(0), 4),
+        "comb": lambda: (comb_counts, comb_histogram((1e6, 5000.0, 50.0), 0.14, rounded=True), 3),
+        # events past the comb in the overflow: a count without a peak
+        "comb past": lambda: (comb_counts, dataclasses.replace(
+            comb_histogram((1e6, 5000.0, 400.0), 0.08, rounded=True, lo=-0.15, hi=2.1),
+            n_overflow=80), 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_central_differences(self, monkeypatch, case):
+        fit, hist, n = self.CASES[case]()
+        residuals, jac, start = solver_problem(monkeypatch, fit, hist, n)
+        points = [start, start + 0.002 * np.sin(np.arange(start.size) + 1.0)]
+        if fit is fit_mixture:
+            # LM visits negative widths; the model is even in them
+            points.append(start * np.repeat([1.0, -1.0, 1.0], n))
+        for p in points:
+            analytic = jac(p)
+            numeric = np.empty_like(analytic)
+            for j in range(p.size):
+                step = 1e-6 * max(abs(p[j]), 1.0)
+                up, down = p.copy(), p.copy()
+                up[j] += step
+                down[j] -= step
+                numeric[:, j] = (residuals(up) - residuals(down)) / (2.0 * step)
+            # an upper-tail cell's mass is a difference of two CDF values near
+            # one, whose rounding the differences amplify to a few 1e-7
+            scale = np.abs(analytic).max(axis=0)
+            assert np.all(np.abs(analytic - numeric) <= 1e-5 * scale)
 
 
 class TestQuality:
@@ -282,9 +282,8 @@ class TestQuality:
     def test_dof_guard(self):
         edges = np.linspace(0.0, 1.0, 4)
         h = AmplitudeHistogram(bin_edges=edges, counts=np.array([1.0, 5.0, 1.0]))
-        params = np.array([5.0, 0.5, 0.2, 1.0, 0.8, 0.1])
         with pytest.raises(DomainError):
-            hg._quality(params, h, n_peaks=2)
+            hg._quality(h.counts, h, n_peaks=2)
 
 
 class TestExtractCounts:
@@ -421,6 +420,13 @@ PAPER_SCALE = ExperimentConfig(
 )
 
 
+@functools.cache
+def low_count_histogram(seed):
+    """The ON histogram of an ACCEPTANCE 7a run: 150 bins over n = 0-3."""
+    run = simulate_run(dataclasses.replace(LOW_COUNT, seed=seed))
+    return build_histogram(run.on_amplitudes, 150, (-0.4, 3.6))
+
+
 def paper_scale_sides(seed):
     """A closure seed's ON and OFF histograms (200 bins over n = 0-2 plus
     six widths) and its init: 3 peaks at the true centres and widths,
@@ -453,11 +459,9 @@ def golden_fits():
     """{case: MixtureFit} for every fit the golden test freezes."""
     fits = {}
     for seed in (0, 1, 2):
-        run = simulate_run(dataclasses.replace(LOW_COUNT, seed=seed))
-        hist = build_histogram(run.on_amplitudes, 150, (-0.4, 3.6))
-        fits[f"7a seed {seed}"] = fit_mixture(hist, 4)
-    for side, (hist, init) in zip(("on", "off"), paper_scale_sides(42)):
-        fits[f"readme {side}"] = fit_mixture(hist, 3, init=init)
+        fits[f"7a seed {seed}"] = fit_mixture(low_count_histogram(seed), 4)
+    hist, init = next(paper_scale_sides(42))
+    fits["readme on"] = fit_mixture(hist, 3, init=init)
     return fits
 
 
@@ -471,16 +475,14 @@ class TestFitGolden:
     `float.hex` and the sha256 of their covariance."""
 
     FITS = {
-        "7a seed 0": ("1505a29c5a48fd9c3aa16e971724b4c8a9d4f0d1704c7d5008e2881b85042330",
-                      "0x1.4c352d149404dp-18"),
-        "7a seed 1": ("2cf1d78d19ebca5c633d461cee440f33262ae717a40bd7a71434753e9c2f9f46",
-                      "0x1.11b662aa3ddf3p-18"),
-        "7a seed 2": ("49a4c180cbf6a8d201593688032efa7f4ecebffe0b645f524d3dc59ae3fe16bb",
-                      "0x1.336db923184a6p-18"),
-        "readme on": ("e8773b2869772e202800a8204df282cac5c56ab3d6e6d3caa405e5dbb9067f48",
-                      "0x1.281a7e4417a84p-28"),
-        "readme off": ("1389e38a372e8a67ff09913bc24a4f3c0cc5d5d5a28ab1dd34c728ee37c1b322",
-                       "0x1.3b63b961ec67cp-28"),
+        "7a seed 0": ("f38cd7493a22a5c8f8b125e228c45753c024f718e9348278ef3db6713a253a3f",
+                      "0x1.4617d5e0db21ep-18"),
+        "7a seed 1": ("82227ab4288e5147f27508b67fba2f338918edf0dfedd22a8d8d29227e8dd09c",
+                      "0x1.1156ca2b866cfp-18"),
+        "7a seed 2": ("3ca2feed6d2236a941143e7decad6e7b60d09e984e6e83efdec4f6f1123c1201",
+                      "0x1.32aa6e92e7c0fp-18"),
+        "readme on": ("4d3c629fa6dcf25a34ec25c80dd65d289df2f8414a93e5f53948fa0bc7537ad3",
+                      "0x1.288c2e499f3bfp-28"),
     }
     COMB = {
         "on": (
@@ -499,6 +501,11 @@ class TestFitGolden:
             for name, fit in golden_fits().items()
         }
         assert got == self.FITS
+        # the README OFF side holds 2 events at n=2, which fit narrower than a bin
+        _, (off, init) = paper_scale_sides(42)
+        with pytest.raises(FitFailureError, match="peak 2 .* narrower than one bin") as err:
+            fit_mixture(off, 3, init=init)
+        assert err.value.keys == {"reason": "degenerate"}
 
     def test_comb_counts(self):
         on, off = (hist for hist, _ in paper_scale_sides(42))
