@@ -137,24 +137,19 @@ class MixtureFit:
         )
 
 
-def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """(peaks, edges + 1) mass of each Gaussian below edges[0], between
-    consecutive edges and above edges[-1]; each row sums to one."""
+def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray):
+    """(masses, slopes): the (peaks, edges + 1) mass of each Gaussian below
+    edges[0], between consecutive edges and above edges[-1], each row summing
+    to one, and the (2, peaks, edges + 1) derivatives of those masses by each
+    peak's centre and by its width."""
     from scipy.special import ndtr
 
-    z = (edges - centers[:, None]) / widths[:, None]
-    return np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0)
-
-
-def _cell_slopes(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """(2, peaks, edges + 1) derivatives of the `gaussian_cells` masses by each
-    peak's centre and by its width."""
     z = (edges - centers[:, None]) / widths[:, None]
     # each edge's share by the centre and the width; infinite edges add nothing
     at_edges = np.zeros((2, centers.size, edges.size + 2))
     at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
     at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
-    return np.diff(at_edges)
+    return np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0), np.diff(at_edges)
 
 
 def build_histogram(
@@ -373,10 +368,9 @@ def fit_mixture(
         expectation by each centre and each width; the model is even in the
         widths."""
         centers, widths, count = params[:k], np.abs(params[k:2 * k]), np.exp(params[2 * k:])
-        by_center, by_width = _cell_slopes(edges, centers, widths)[:, :, 1:-1]
-        by_width *= (count * np.sign(params[k:2 * k]))[:, None]
-        return count, gaussian_cells(edges, centers, widths)[:, 1:-1], np.vstack(
-            [count[:, None] * by_center, by_width])
+        masses, (by_center, by_width) = gaussian_cells(edges, centers, widths)
+        by_width = by_width[:, 1:-1] * (count * np.sign(params[k:2 * k]))[:, None]
+        return count, masses[:, 1:-1], np.vstack([count[:, None] * by_center[:, 1:-1], by_width])
 
     # a runaway component overflows the model on its way out of the
     # histogram; it is rejected below, so the overflow is no error.  A zero
@@ -409,7 +403,7 @@ def fit_mixture(
 
     u = np.sqrt(np.diag(cov))
     peaks = tuple(GaussianPeak(*params[3 * j:3 * j + 3], *u[3 * j:3 * j + 3]) for j in range(k))
-    quality = _quality(count @ gaussian_cells(edges, x, s)[:, 1:-1], hist, n_peaks)
+    quality = _quality(count @ gaussian_cells(edges, x, s)[0][:, 1:-1], hist, n_peaks)
     return MixtureFit(peaks=peaks, covariance=cov, quality=quality)
 
 
@@ -513,11 +507,11 @@ def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, 
         expectation by x0, g, sigma_0 and sigma_1."""
         x0, g, s0, s1 = params[:4]
         centers, sigma = x0 + n * g, np.sqrt(s0**2 + n * (s1**2 - s0**2))
-        by_center, by_width = _cell_slopes(edges, centers, sigma)
+        masses, (by_center, by_width) = gaussian_cells(edges, centers, sigma)
         count = np.exp(params[4:])
         comb, by_sigma = count[:n.size], np.array([s0 * (1 - n), s1 * n]) / sigma
         by_shape = [comb @ by_center, (comb * n) @ by_center, *((comb * by_sigma) @ by_width)]
-        return count, np.vstack([gaussian_cells(edges, centers, sigma), past]), by_shape
+        return count, np.vstack([masses, past]), by_shape
 
     start = np.concatenate([[x[j0], g, sigma0, sigma0],
                             np.log(np.bincount(seed, counts)[n]), np.log(past @ y)])

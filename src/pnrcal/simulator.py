@@ -194,7 +194,7 @@ def _draw_histogram(
     multinomial per photon number over [underflow, bins, overflow], with
     Gaussian-CDF differences at the edges as the cell probabilities."""
     n = np.flatnonzero(counts_by_n)
-    cells = hg.gaussian_cells(edges, config.peak_center(n), config.peak_width(n))
+    cells, _ = hg.gaussian_cells(edges, config.peak_center(n), config.peak_width(n))
     drawn = rng.multinomial(counts_by_n[n], cells).sum(axis=0)
     if not drawn[1:-1].any():
         raise DomainError("no samples inside the requested range")

@@ -31,8 +31,8 @@ def exact_histogram(peaks, lo=-1.0, hi=4.0, n_bins=250):
     each peak holds A sigma sqrt(2 pi) / w events."""
     edges = np.linspace(lo, hi, n_bins + 1)
     events = np.array([p.area for p in peaks]) / (edges[1] - edges[0])
-    masses = gaussian_cells(edges, np.array([p.center for p in peaks]),
-                            np.array([p.sigma for p in peaks]))
+    masses, _ = gaussian_cells(edges, np.array([p.center for p in peaks]),
+                               np.array([p.sigma for p in peaks]))
     return AmplitudeHistogram(bin_edges=edges, counts=(events @ masses)[1:-1])
 
 
@@ -321,7 +321,7 @@ def comb_histogram(events, sigma, rounded=False, lo=-0.6, hi=2.6, n_bins=160):
     `events` each; `rounded` rounds every cell to whole events."""
     edges = np.linspace(lo, hi, n_bins + 1)
     n = np.arange(len(events), dtype=float)
-    cells = np.asarray(events, dtype=float) @ gaussian_cells(edges, n, np.full(n.size, sigma))
+    cells = np.asarray(events, dtype=float) @ gaussian_cells(edges, n, np.full(n.size, sigma))[0]
     if rounded:
         cells = np.round(cells)
     return AmplitudeHistogram(edges, cells[1:-1], n_underflow=round(cells[0]),
