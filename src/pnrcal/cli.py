@@ -166,7 +166,7 @@ def _run_calibration(args) -> reports.CalibrationResult:
     n_bins = (_number(fit_sec, "bins", int, 200) if args.bins is None
               else _positive(args.bins, "--bins"))
 
-    fit_quality = None
+    covariance = fit_quality = None
     if args.bypass_fit:
         if "counts" not in parser:
             raise ConfigError("bypass-fit mode needs a [counts] section")
@@ -183,9 +183,8 @@ def _run_calibration(args) -> reports.CalibrationResult:
             _amplitude_path(sec, "on"),
             _amplitude_path(sec, "off"),
         )
-        on, off, fit_quality = hg.count_photons(on_hist, off_hist, n_peaks)
+        on, off, covariance, fit_quality = hg.count_photons(on_hist, off_hist, n_peaks)
 
-    covariance = None
     if args.covariance:
         names = counting_inputs(on, off, xi).names
         covariance = reports.load_covariance_csv(args.covariance, names)

@@ -12,6 +12,7 @@ spectrum.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -471,87 +472,119 @@ def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:
     return CountVector(np.array(counts), np.array(uncs))
 
 
-def comb_counts(hist: AmplitudeHistogram, n_windows: int) -> tuple[CountVector, dict]:
-    """Counts of photon numbers 0 .. n_windows - 1, with their covariance, from
-    one binned Poisson-likelihood fit of a Gaussian comb, and its diagnostics.
+def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):
+    """Counts of photon numbers 0 .. n_windows - 1 in the ON and OFF spectra,
+    from one binned Poisson-likelihood fit of a Gaussian comb to both: (on
+    counts, off counts, their covariance, {side: diagnostics}).
 
-    Photon number n has centre x0 + n g, width sigma_n^2 = sigma_0^2 +
-    n (sigma_1^2 - sigma_0^2) and count N_n.  A cell (the underflow, each bin,
-    the overflow) expects sum_n N_n times its `gaussian_cells` mass; overflow
-    events that the comb does not explain, from photon numbers past it, go to
-    the last count.  One `_poisson_fit` solve minimises the deviance over x0,
-    g, sigma_0, sigma_1 and log N_n, seeded at the tallest bin and the tallest
-    bin more than 4 sigma_0 above it.  A photon number with no events within
-    g/2 of its seed centre has count and variance 0.  The covariance is the
-    inverse Fisher matrix.  FitFailureError's `reason` is "seed", "convergence", "quality"
-    (deviance per degree of freedom above MAX_DEVIANCE_PER_DOF) or "comb" (a
-    fitted photon number's sigma_n^2 not positive).
+    Photon number n has centre x0 + n g and width sigma_n, with sigma_n^2
+    linear in n from sigma_0^2 to sigma_K^2 at the last photon number, so no
+    width is ever negative; both sides share x0, g, sigma_0 and sigma_K, the
+    detector's response, and each has its own count N_n of each photon
+    number.  A cell of a side (its underflow, each bin, its overflow) expects
+    sum_n N_n times its `gaussian_cells` mass; overflow events that the comb
+    does not explain, from photon numbers past it, are one more count of that
+    side, added to its last photon number.  One `_poisson_fit` solve
+    minimises the deviance over x0, g, log sigma_0, log sigma_K and the log
+    counts, seeded at the ON side's tallest bin and its tallest bin more than
+    4 sigma_0 above it.  A photon number with no events within g/2 of its seed
+    centre on a side has count and variance 0 there.  The covariance is the
+    inverse Fisher matrix of the ON then the OFF counts, cross-side terms
+    included.  Photon numbers past the last with a count on either side are
+    dropped.  Each side's diagnostics hold the deviance over its own cells,
+    whose degrees of freedom are its non-empty cells less its counts and the
+    four shape parameters.  FitFailureError's `reason` is "seed" (with `side`
+    on), "convergence" or "quality" (a side's deviance per degree of freedom
+    above MAX_DEVIANCE_PER_DOF, with the worse side as `side`).
     """
     if n_windows < 1:
         raise DomainError("need at least one window")
-    counts, x, edges = hist.counts, hist.bin_centers, hist.bin_edges
+    counts, x = on.counts, on.bin_centers
     j0 = int(np.argmax(counts))
-    sigma0 = _half_width_sigma(hist, j0)
+    sigma0 = _half_width_sigma(on, j0)
     above = np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0)
     j1 = int(np.argmax(above))
     if not above[j1] > 0:
-        raise FitFailureError(f"no counts 4 sigma above n=0 at {x[j0]:.4g}", reason="seed")
+        raise FitFailureError(f"on no counts 4 sigma above n=0 at {x[j0]:.4g}",
+                              side="on", reason="seed")
     g = x[j1] - x[j0]
-    seed = np.clip(np.rint((x - x[j0]) / g), 0, n_windows - 1).astype(int)
-    n = np.flatnonzero(np.bincount(seed, weights=counts, minlength=n_windows))
-    y = np.concatenate([[hist.n_underflow], counts, [hist.n_overflow]])
-    past = np.eye(y.size)[-1:] if y[-1] > 0 else np.empty((0, y.size))
+    photon = np.arange(n_windows)
+    # each photon number's place between the end widths, in sigma^2
+    place = np.array([n_windows - 1 - photon, photon]) / max(n_windows - 1, 1)
+    hists = {"on": on, "off": off}
+    y = np.concatenate([np.r_[h.n_underflow, h.counts, h.n_overflow] for h in hists.values()])
+    # per side: its cells, and its comb's counts with their photon numbers;
+    # for each count, its start value and its place among both sides' photon
+    # numbers; the mass of each count past a comb, all in its side's overflow
+    sides, seeds, owner, end = [], [], [], 0
+    fixed = np.zeros((0, y.size))
+    for side, h in enumerate(hists.values()):
+        cells, end = slice(end, end + h.counts.size + 2), end + h.counts.size + 2
+        seed = np.clip(np.rint((h.bin_centers - x[j0]) / g), 0, n_windows - 1).astype(int)
+        events = np.bincount(seed, h.counts, minlength=n_windows)
+        n = np.flatnonzero(events)
+        sides.append((cells, slice(len(owner), len(owner) + n.size), n))
+        seeds.extend(events[n])
+        owner.extend(side * n_windows + n)
+        fixed = np.vstack([fixed, np.zeros((n.size, y.size))])
+        if h.n_overflow > 0:
+            seeds.append(h.n_overflow)
+            owner.append(side * n_windows + n_windows - 1)
+            fixed = np.vstack([fixed, np.eye(y.size)[cells.stop - 1]])
+    edges = [h.bin_edges for h in hists.values()]
+    if np.array_equal(*edges):
+        edges = edges[:1]
 
     def model(params):
         """The counts, their cell masses, and the derivatives of the cells'
-        expectation by x0, g, sigma_0 and sigma_1."""
-        x0, g, s0, s1 = params[:4]
-        centers, sigma = x0 + n * g, np.sqrt(s0**2 + n * (s1**2 - s0**2))
-        masses, (by_center, by_width) = gaussian_cells(edges, centers, sigma)
+        expectation by x0, g, log sigma_0 and log sigma_K."""
+        x0, g = params[:2]
+        # each end's share of sigma_n^2, half its derivative by the log end
+        shares = np.exp(2.0 * params[2:4])[:, None] * place
+        sigma = np.sqrt(shares.sum(axis=0))
         count = np.exp(params[4:])
-        comb, by_sigma = count[:n.size], np.array([s0 * (1 - n), s1 * n]) / sigma
-        by_shape = [comb @ by_center, (comb * n) @ by_center, *((comb * by_sigma) @ by_width)]
-        return count, np.vstack([masses, past]), by_shape
+        masses, by_shape = fixed.copy(), np.empty((4, y.size))
+        # one pass serves both sides when their bin edges agree
+        passes = itertools.cycle(gaussian_cells(e, x0 + photon * g, sigma) for e in edges)
+        for (cells, rows, n), (mass, (by_center, by_width)) in zip(sides, passes):
+            comb = count[rows]
+            masses[rows, cells] = mass[n]
+            by_shape[0, cells] = comb @ by_center[n]
+            by_shape[1, cells] = (comb * n) @ by_center[n]
+            by_shape[2:, cells] = (comb * shares[:, n] / sigma[n]) @ by_width[n]
+        return count, masses, by_shape
 
-    start = np.concatenate([[x[j0], g, sigma0, sigma0],
-                            np.log(np.bincount(seed, counts)[n]), np.log(past @ y)])
+    start = np.concatenate([[x[j0], g], np.log([sigma0, sigma0]), np.log(seeds)])
     p, r, converged, evaluations, _, root = _poisson_fit(y, model, start)
-    deviance, dof = float(r @ r), max(int(np.count_nonzero(y)) - p.size, 1)
-    x0, g, s0, s1 = p[:4]
     if not converged:
         raise FitFailureError("comb fit did not converge within the iteration cap",
-                              reason="convergence", residual_norm=math.sqrt(deviance))
-    if not deviance / dof <= MAX_DEVIANCE_PER_DOF:
-        raise FitFailureError(f"deviance per degree of freedom {deviance / dof:.3g} > "
-                              f"{MAX_DEVIANCE_PER_DOF:g}", reason="quality")
-    if not np.all(s0**2 + n * (s1**2 - s0**2) > 0):
-        detail = f"comb widths not positive: sigma_0 = {s0:.4g}, sigma_1 = {s1:.4g}"
-        raise FitFailureError(detail, reason="comb")
-    # each count goes to its photon number, the count past the comb to the last
-    fold = np.eye(n_windows)[:, np.r_[n, [n_windows - 1] * len(past)].astype(int)]
-    counts_root = fold @ root(p)[4:]
+                              reason="convergence", residual_norm=float(np.linalg.norm(r)))
+    sigma = np.sqrt(np.exp(2.0 * p[2:4]) @ place)
+    shape = dict(evaluations=evaluations, x0=float(p[0]), g=float(p[1]),
+                 sigma0=float(sigma[0]), sigma1=float(sigma[min(1, n_windows - 1)]))
+    side_counts = np.bincount(np.array(owner) // n_windows, minlength=2)
+    diagnostics = {}
+    for name, (cells, _, _), n_counts in zip(hists, sides, side_counts):
+        deviance = float(r[cells] @ r[cells])
+        dof = max(int(np.count_nonzero(y[cells]) - 4 - n_counts), 1)
+        diagnostics[name] = dict(deviance=deviance, degrees_of_freedom=dof,
+                                 deviance_per_dof=deviance / dof, **shape)
+    worst = max(diagnostics, key=lambda side: diagnostics[side]["deviance_per_dof"])
+    if not diagnostics[worst]["deviance_per_dof"] <= MAX_DEVIANCE_PER_DOF:
+        raise FitFailureError(f"{worst} deviance per degree of freedom "
+                              f"{diagnostics[worst]['deviance_per_dof']:.3g} > "
+                              f"{MAX_DEVIANCE_PER_DOF:g}", side=worst, reason="quality")
+    # each count goes to its photon number, the count past the comb to the
+    # last; photon numbers past the last counted on either side are dropped
+    fold = np.eye(2 * n_windows)[:, owner]
+    counts = fold @ np.exp(p[4:])
+    k = 1 + int(np.flatnonzero(counts[:n_windows] + counts[n_windows:]).max())
+    keep = np.r_[:k, n_windows:n_windows + k]
+    counts_root = fold[keep] @ root(p)[4:]
     covariance = counts_root @ counts_root.T
-    diagnostics = dict(deviance=deviance, degrees_of_freedom=dof, deviance_per_dof=deviance / dof,
-                       evaluations=evaluations, x0=float(x0), g=float(g),
-                       sigma0=abs(float(s0)), sigma1=abs(float(s1)))
-    return CountVector(fold @ np.exp(p[4:]), np.sqrt(np.diag(covariance)), covariance), diagnostics
-
-
-def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):
-    """`comb_counts` of the ON and OFF spectra, with the trailing photon
-    numbers empty on both sides (count 0 on both) dropped: (on counts, off
-    counts, {side: diagnostics}).  A side's FitFailureError is raised with a
-    `side` key."""
-    counts, diagnostics = {}, {}
-    for side, hist in (("on", on), ("off", off)):
-        try:
-            counts[side], diagnostics[side] = comb_counts(hist, n_windows)
-        except FitFailureError as exc:
-            raise FitFailureError(f"{side} {exc}", side=side, **exc.keys) from None
-    k = 1 + int(np.flatnonzero(counts["on"].counts + counts["off"].counts).max())
-    on, off = (CountVector(c.counts[:k], c.uncertainties[:k], c.covariance[:k, :k])
-               for c in counts.values())
-    return on, off, diagnostics
+    u = np.sqrt(np.diag(covariance))
+    on_counts, off_counts = (CountVector(counts[keep][j:j + k], u[j:j + k]) for j in (0, k))
+    return on_counts, off_counts, covariance, diagnostics
 
 
 def save_histogram_csv(hist: AmplitudeHistogram, path) -> None:

@@ -74,11 +74,10 @@ class PhotonNumberDistribution:
 
 @dataclass(frozen=True)
 class CountVector:
-    """Per-photon-number event counts (real-valued), optionally with their covariance."""
+    """Per-photon-number event counts (real-valued)."""
 
     counts: np.ndarray
     uncertainties: np.ndarray
-    covariance: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=float)
@@ -91,12 +90,6 @@ class CountVector:
         u.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "uncertainties", u)
-        if self.covariance is not None:
-            cov = np.asarray(self.covariance, dtype=float)
-            if cov.shape != (c.size, c.size):
-                raise DomainError("count covariance must be k x k")
-            cov.setflags(write=False)
-            object.__setattr__(self, "covariance", cov)
 
     @property
     def total(self) -> float:

@@ -326,8 +326,8 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     lo, hi = min(config.peak_centers) - pad, float(config.peak_center(max_index)) + pad
     on_hist, off_hist, _ = simulate_histograms(config, n_bins, (lo, hi))
     xi = estimate_xi(simulate_herald_stats(config, dark_rate_for_purity(config)))
-    on, off, _ = hg.count_photons(on_hist, off_hist, max_index + 1)
-    result = calibrate_counts(on, off, xi)
+    on, off, covariance, _ = hg.count_photons(on_hist, off_hist, max_index + 1)
+    result = calibrate_counts(on, off, xi, covariance)
     scored = {name: (e.gamma, e.u_gamma) for name, e in result.estimates.items()}
     scored["weighted_mean"] = (result.combined.gamma, result.combined.u_gamma)
     return scored

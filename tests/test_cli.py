@@ -330,7 +330,7 @@ class TestCalibrateEndToEnd:
         doc = json.loads((out / "calibration.json").read_text())
         g0 = doc["estimates"]["gamma0"]
         assert abs(g0["fraction"] - 0.3) < 4 * g0["u_fraction"]
-        # the fitted comb and its deviance, for each side
+        # the fitted comb, shared by both sides, and each side's deviance
         for side in ("on", "off"):
             comb = doc["fit_quality"][side]
             assert abs(comb["x0"]) < 0.01 and abs(comb["g"] - 1.0) < 0.01
@@ -339,6 +339,10 @@ class TestCalibrateEndToEnd:
             assert comb["deviance"] == comb["deviance_per_dof"] * comb["degrees_of_freedom"]
             assert comb["evaluations"] > 0
             assert "window_edges" not in comb and "condition_number" not in comb
+        on, off = (doc["fit_quality"][side] for side in ("on", "off"))
+        for key in ("x0", "g", "sigma0", "sigma1", "evaluations"):
+            assert on[key] == off[key], key
+        assert on["deviance"] != off["deviance"]
         assert doc["inputs"]["has_covariance"]
 
     def test_inputs_reports_identical_across_processes(self, tmp_path):
@@ -409,8 +413,8 @@ class TestCalibrateEndToEnd:
         assert multiprocessing.active_children() == []
 
         on, off = (build_histogram(load_amplitudes(paths[side]), 200) for side in ("on", "off"))
-        on_counts, off_counts, diagnostics = count_photons(on, off, 3)
-        serial = calibrate_counts(on_counts, off_counts, HeraldPurity(0.95, 1e-4))
+        on_counts, off_counts, covariance, diagnostics = count_photons(on, off, 3)
+        serial = calibrate_counts(on_counts, off_counts, HeraldPurity(0.95, 1e-4), covariance)
 
         assert result.fit_quality == diagnostics
         assert result.inputs.covariance.tobytes() == serial.inputs.covariance.tobytes()
@@ -422,6 +426,36 @@ class TestCalibrateEndToEnd:
             got = result.budgets[name]
             assert (got.names, got.combined) == (budget.names, budget.combined)
             assert got.contributions.tobytes() == budget.contributions.tobytes()
+
+    def test_joint_covariance_reaches_budget(self, tmp_path):
+        # the comb fit correlates the ON and OFF counts through the shared
+        # response; --covariance replaces its covariance whole
+        exp = write(tmp_path, "exp.ini", ACCEPTANCE9_EXPERIMENT)
+        assert main(["simulate", exp, "--out", str(tmp_path / "run")]) == EXIT_OK
+        cal = write(
+            tmp_path,
+            "cal.ini",
+            "[herald]\nxi = 0.95\nu_xi = 1e-4\n\n[inputs]\n"
+            f"on_amplitudes = {tmp_path / 'run' / 'on.csv'}\n"
+            f"off_amplitudes = {tmp_path / 'run' / 'off.csv'}\n\n"
+            "[fit]\nn_peaks = 3\nbins = 200\n",
+        )
+        fitted = _run_calibration(build_parser().parse_args(["calibrate", cal])).inputs
+        k = (fitted.size - 1) // 2
+        assert fitted.covariance[:k, k:2 * k].any()
+        assert not fitted.covariance[-1, :-1].any()
+        assert fitted.covariance[-1, -1] == 1e-8
+        cov = np.diag(fitted.uncertainties**2)
+        cov_path = tmp_path / "cov.csv"
+        with open(cov_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["quantity", *fitted.names])
+            for name, row in zip(fitted.names, cov):
+                w.writerow([name] + [repr(float(v)) for v in row])
+        given = _run_calibration(build_parser().parse_args(
+            ["calibrate", cal, "--covariance", str(cov_path)])).inputs
+        assert np.array_equal(given.covariance, cov)
+        assert np.array_equal(given.values, fitted.values)
 
 
 class TestFitQualityGate:
@@ -495,9 +529,9 @@ class TestReadmePipeline:
         # its quality gate at 707658275
         run = simulate_run(dataclasses.replace(README_EXPERIMENT, seed=seed))
         on, off = (build_histogram(a, 200) for a in (run.on_amplitudes, run.off_amplitudes))
-        on_counts, off_counts, _ = count_photons(on, off, 3)
+        on_counts, off_counts, covariance, _ = count_photons(on, off, 3)
         xi = estimate_xi(HeraldStats(n_on=1_000_000, n_off=12060))
-        estimates = calibrate_counts(on_counts, off_counts, xi).estimates
+        estimates = calibrate_counts(on_counts, off_counts, xi, covariance).estimates
         for name in ("gamma0", "gamma1", "gamma2"):
             e = estimates[name]
             assert abs(e.gamma - README_EXPERIMENT.gamma_true) <= 3.0 * e.u_gamma, (name, e)

@@ -15,7 +15,6 @@ from pnrcal.histogram import (
     AmplitudeHistogram,
     GaussianPeak,
     build_histogram,
-    comb_counts,
     count_photons,
     extract_counts,
     fit_mixture,
@@ -233,21 +232,26 @@ class TestPoissonFitJacobian:
     CASES = {
         "mixture 2 peaks": lambda: (fit_mixture, noisy_two_peak(), 2),
         "mixture 4 peaks": lambda: (fit_mixture, low_count_histogram(0), 4),
-        "comb": lambda: (comb_counts, comb_histogram((1e6, 5000.0, 50.0), 0.14, rounded=True), 3),
+        "comb": lambda: (count_photons, comb_histogram((1e6, 5000.0, 50.0), 0.14, rounded=True),
+                         comb_histogram((1e6, 1500.0, 10.0), 0.14, rounded=True), 3),
         # events past the comb in the overflow: a count without a peak
-        "comb past": lambda: (comb_counts, dataclasses.replace(
+        "comb past": lambda: (count_photons, dataclasses.replace(
             comb_histogram((1e6, 5000.0, 400.0), 0.08, rounded=True, lo=-0.15, hi=2.1),
-            n_overflow=80), 3),
+            n_overflow=80), comb_histogram((1e6, 1500.0, 10.0), 0.08, rounded=True), 3),
+        # the OFF side binned over its own range, as `calibrate` bins it
+        "comb own edges": lambda: (count_photons, comb_histogram((1e6, 5000.0, 50.0), 0.1),
+                                   comb_histogram((1e6, 1500.0, 10.0), 0.1, lo=-0.4,
+                                                  hi=2.3, n_bins=130), 3),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_central_differences(self, monkeypatch, case):
-        fit, hist, n = self.CASES[case]()
-        residuals, jac, start = solver_problem(monkeypatch, fit, hist, n)
+        fit, *args = self.CASES[case]()
+        residuals, jac, start = solver_problem(monkeypatch, fit, *args)
         points = [start, start + 0.002 * np.sin(np.arange(start.size) + 1.0)]
         if fit is fit_mixture:
             # LM visits negative widths; the model is even in them
-            points.append(start * np.repeat([1.0, -1.0, 1.0], n))
+            points.append(start * np.repeat([1.0, -1.0, 1.0], args[1]))
         for p in points:
             analytic = jac(p)
             numeric = np.empty_like(analytic)
@@ -335,12 +339,13 @@ class TestCombCounts:
         h = comb_histogram(events, 0.14)
         in_n1_window = h.counts[(h.bin_centers > 0.5) & (h.bin_centers < 1.5)].sum()
         assert in_n1_window - events[1] > 100
-        c, d = comb_counts(h, 3)
+        c, _, covariance, diagnostics = count_photons(h, h, 3)
         assert np.allclose(c.counts, events, rtol=1e-5)
-        assert np.allclose(c.uncertainties**2, np.diag(c.covariance), rtol=1e-12)
-        assert np.array_equal(c.covariance, c.covariance.T)
+        assert np.allclose(c.uncertainties**2, np.diag(covariance)[:3], rtol=1e-12)
+        assert np.array_equal(covariance, covariance.T)
         # the Poisson variances of the counts, within the spill-over's share
-        assert np.allclose(np.diag(c.covariance), events, rtol=0.01)
+        assert np.allclose(np.diag(covariance)[:3], events, rtol=0.01)
+        d = diagnostics["on"]
         assert abs(d["x0"]) < 1e-5 and abs(d["g"] - 1.0) < 1e-5
         assert abs(d["sigma0"] - 0.14) < 1e-5 and abs(d["sigma1"] - 0.14) < 1e-5
         assert d["deviance_per_dof"] < 1e-4 and d["evaluations"] > 0
@@ -348,23 +353,36 @@ class TestCombCounts:
     def test_empty_window_has_zero_count_and_variance(self):
         h = comb_histogram((1e6, 5000.0, 0.0), 0.08, rounded=True)
         assert not h.counts[h.bin_centers > 1.5].any() and h.n_overflow == 0
-        c, _ = comb_counts(h, 3)
+        full = comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True)
+        _, c, covariance, _ = count_photons(full, h, 3)
         assert c.counts[2] == 0.0
-        assert not c.covariance[2].any() and not c.covariance[:, 2].any()
+        assert not covariance[5].any() and not covariance[:, 5].any()
 
     def test_under_and_overflow_are_fitted_cells(self):
         # 3 % of n=0 lies below the histogram and 11 % of n=2 above it
         events = (1e6, 5000.0, 400.0)
         h = comb_histogram(events, 0.08, rounded=True, lo=-0.15, hi=2.1)
         assert h.n_underflow > 30_000 and h.n_overflow > 40
-        c, _ = comb_counts(h, 3)
+        _, c, _, _ = count_photons(h, h, 3)
         assert np.all(np.abs(c.counts - events) < c.uncertainties)
         # overflow events that no photon number of the comb explains are
         # counted with the last one
         past = AmplitudeHistogram(h.bin_edges, h.counts, h.n_underflow, h.n_overflow + 30)
-        c_past, _ = comb_counts(past, 3)
+        _, c_past, _, _ = count_photons(h, past, 3)
         assert np.allclose(c_past.counts, c.counts + [0.0, 0.0, 30.0], rtol=1e-6)
         assert c_past.uncertainties[2] > c.uncertainties[2]
+
+    def test_own_bin_edges_per_side(self):
+        # `calibrate` bins each side over its own range: one fit, two grids
+        events = {"on": (1e6, 5000.0, 50.0), "off": (1e6, 1500.0, 10.0)}
+        on = comb_histogram(events["on"], 0.08, rounded=True)
+        off = comb_histogram(events["off"], 0.08, rounded=True, lo=-0.45, hi=2.35, n_bins=130)
+        assert not np.array_equal(on.bin_edges, off.bin_edges)
+        on_c, off_c, covariance, diagnostics = count_photons(on, off, 3)
+        for side, c in (("on", on_c), ("off", off_c)):
+            assert np.all(np.abs(c.counts - events[side]) < c.uncertainties), (side, c)
+            assert diagnostics[side]["deviance_per_dof"] < 3.0
+        assert covariance.shape == (6, 6)
 
     def test_sparse_photon_number_count_not_negative(self):
         # the n=2 window holds 0.3 events against 0.9 spilled from n=1,
@@ -373,38 +391,50 @@ class TestCombCounts:
         counts = np.where(off.bin_centers > 1.5, 0.0, off.counts)
         counts[np.argmin(np.abs(off.bin_centers - 2.0))] = 0.3
         off = AmplitudeHistogram(off.bin_edges, counts, off.n_underflow, 0)
-        _, c, _ = count_photons(comb_histogram((1e6, 5000.0, 50.0), 0.14), off, 3)
+        _, c, _, _ = count_photons(comb_histogram((1e6, 5000.0, 50.0), 0.14), off, 3)
         assert 0.0 < c.counts[2] and abs(c.counts[2] - 0.3) < c.uncertainties[2]
 
     def test_failure_raised_with_side(self):
-        # one peak: nothing seeds n=1 on the OFF side
+        # one peak: nothing seeds n=1 on the ON side, which seeds the comb
         single = comb_histogram((1000.0,), 0.08, rounded=True)
-        with pytest.raises(FitFailureError, match="^off no counts 4 sigma above") as err:
-            count_photons(comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True), single, 3)
-        assert err.value.keys == {"side": "off", "reason": "seed"}
+        full = comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True)
+        with pytest.raises(FitFailureError, match="^on no counts 4 sigma above") as err:
+            count_photons(single, full, 3)
+        assert err.value.keys == {"side": "on", "reason": "seed"}
+        # the OFF side does not seed: one peak there is fitted
+        _, off, _, _ = count_photons(full, single, 3)
+        assert abs(off.counts[0] - 1000.0) < off.uncertainties[0]
+
+    def test_joint_gate_failure_names_reason(self):
+        # a 2-peak comb leaves the OFF side's third peak unfitted
+        on = comb_histogram((4000.0, 1000.0), 0.08, rounded=True)
+        off = comb_histogram((4000.0, 1000.0, 1000.0), 0.08, rounded=True)
+        with pytest.raises(FitFailureError, match="^off deviance per degree of freedom") as err:
+            count_photons(on, off, 2)
+        assert err.value.keys == {"side": "off", "reason": "quality"}
 
     def test_trailing_windows_empty_on_both_sides_dropped(self):
         empty = comb_histogram((1e6, 5000.0, 0.0), 0.08, rounded=True)
         full = comb_histogram((1e6, 5000.0, 40.0), 0.08, rounded=True)
-        on, off, diagnostics = count_photons(empty, empty, 3)
+        on, off, covariance, diagnostics = count_photons(empty, empty, 3)
         assert on.counts.size == off.counts.size == 2
-        assert on.covariance.shape == (2, 2)
+        assert covariance.shape == (4, 4)
         assert set(diagnostics) == {"on", "off"}
-        on, off, _ = count_photons(full, empty, 3)
+        on, off, _, _ = count_photons(full, empty, 3)
         assert on.counts.size == off.counts.size == 3 and off.counts[2] == 0.0
 
     def test_n1_seeded_above_a_tall_n0(self):
         # the README [experiment] at 40k pulses, first seed of root 7:
         # seeding by prominence puts both peaks inside n=0
         cfg = dataclasses.replace(PAPER_SCALE, n_pulses=40_000, seed=1201125462)
-        on, _, _ = simulate_histograms(cfg, 200, (-0.48, 2.48))
+        on, off, _ = simulate_histograms(cfg, 200, (-0.48, 2.48))
         assert all(abs(p.center) < 0.01 for p in fit_mixture(on, 2).peaks)
-        _, d = comb_counts(on, 3)
+        d = count_photons(on, off, 3)[3]["on"]
         assert abs(d["x0"]) < 0.01 and abs(d["g"] - 1.0) < 0.01
 
     def test_no_window_rejected(self):
         with pytest.raises(DomainError):
-            comb_counts(noisy_two_peak(), 0)
+            count_photons(noisy_two_peak(), noisy_two_peak(), 0)
 
 
 # ACCEPTANCE 7a runs, and the README [experiment] at paper scale
@@ -471,8 +501,8 @@ class TestFitGolden:
     iterate shows.  Frozen with numpy 2.4.6 and scipy 1.17.1
     on x86-64 (OpenBLAS); another build of either may move the last bits
     and need a refreeze.  A FITS entry is the sha256 of `fit_digest` and
-    the quality ratio in `float.hex`; a COMB entry is the counts in
-    `float.hex` and the sha256 of their covariance."""
+    the quality ratio in `float.hex`; COMB holds each side's counts in
+    `float.hex` and the sha256 of their joint covariance."""
 
     FITS = {
         "7a seed 0": ("f38cd7493a22a5c8f8b125e228c45753c024f718e9348278ef3db6713a253a3f",
@@ -485,14 +515,9 @@ class TestFitGolden:
                       "0x1.288c2e499f3bfp-28"),
     }
     COMB = {
-        "on": (
-            ["0x1.09fc100000016p+20", "0x1.520ffffea7251p+13", "0x1.dffffa31eadcbp+4"],
-            "e6536c58dec66f9f05e174755d1de15d67b071e9f22db1e372d0263ba0f78155",
-        ),
-        "off": (
-            ["0x1.0bba3fffffff5p+20", "0x1.7f200000cf1ddp+11", "0x1.0000c517b4cdep+1"],
-            "41f46b4fbca29db7e3a9395ec32fc80c1ee8ba0417fe92a5878bc616b1b1d663",
-        ),
+        "on": ["0x1.09fc0fffffff4p+20", "0x1.520fffffe1769p+13", "0x1.e0000009d1b2dp+4"],
+        "off": ["0x1.0bba3fffffffdp+20", "0x1.7f20000136e22p+11", "0x1.0001004078681p+1"],
+        "covariance": "8bd5f62b4c831c7eb3a59cb26350b12d1218813102fa4c02657fa536f1de359f",
     }
 
     def test_fits(self):
@@ -509,11 +534,9 @@ class TestFitGolden:
 
     def test_comb_counts(self):
         on, off = (hist for hist, _ in paper_scale_sides(42))
-        got = {
-            side: ([v.hex() for v in c.counts],
-                   hashlib.sha256(c.covariance.tobytes()).hexdigest())
-            for side, c in zip(("on", "off"), count_photons(on, off, 3)[:2])
-        }
+        *counts, covariance, _ = count_photons(on, off, 3)
+        got = {side: [v.hex() for v in c.counts] for side, c in zip(("on", "off"), counts)}
+        got["covariance"] = hashlib.sha256(covariance.tobytes()).hexdigest()
         assert got == self.COMB
 
 
