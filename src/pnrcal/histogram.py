@@ -150,7 +150,14 @@ def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray):
     at_edges = np.zeros((2, centers.size, edges.size + 2))
     at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
     at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
-    return np.diff(ndtr(z), axis=1, prepend=0.0, append=1.0), np.diff(at_edges)
+    # masses from the tail beyond each edge, so that a cell above the centre
+    # keeps its relative precision; the cell holding the centre (where `above`
+    # turns) is one less both tails
+    above = z >= 0
+    tail = np.where(above, -1.0, 1.0) * ndtr(-np.abs(z))
+    masses = np.diff(above, axis=1, prepend=False, append=True) + np.diff(
+        tail, axis=1, prepend=0.0, append=0.0)
+    return masses, np.diff(at_edges)
 
 
 def build_histogram(
@@ -379,16 +386,19 @@ def fit_mixture(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start = np.concatenate([x, s, np.log(a * np.abs(s) * SQRT_2PI / w)])
         p, r, converged, _, step, root = _poisson_fit(hist.counts, model, start)
-        for _ in range(FINISH_STEPS if converged else 0):
-            prev, p = p, step(p)
-            if np.all(np.abs(p - prev) <= 1e-12 * np.abs(p)):
-                break
-        p[k:2 * k] = np.abs(p[k:2 * k])
-        x, s, count = p[:k], p[k:2 * k], np.exp(p[2 * k:])
-        per_event = w / (s * SQRT_2PI)
-        order = np.argsort(x)
-        params = np.column_stack([count * per_event, x, s])[order].ravel()
-    _reject_degenerate(params, hist)
+        # a spike or a runaway is refused at the solve's point, where the
+        # finish's steps would diverge, and at the finished point
+        for finish in (0, FINISH_STEPS if converged else 0):
+            for _ in range(finish):
+                prev, p = p, step(p)
+                if np.all(np.abs(p - prev) <= 1e-12 * np.abs(p)):
+                    break
+            x, s, count = p[:k], np.abs(p[k:2 * k]), np.exp(p[2 * k:])
+            per_event = w / (s * SQRT_2PI)
+            order = np.argsort(x)
+            params = np.column_stack([count * per_event, x, s])[order].ravel()
+            _reject_degenerate(params, hist)
+        p[k:2 * k] = s
     if not converged:
         raise FitFailureError(
             "mixture fit did not converge within the iteration cap",
