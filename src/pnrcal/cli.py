@@ -78,15 +78,8 @@ def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     sec = parser["experiment"]
-    required = [
-        "gamma_true",
-        "xi_true",
-        "herald_prob",
-        "background_mean",
-        "peak_centers",
-        "peak_widths",
-        "n_pulses",
-    ]
+    required = ["gamma_true", "xi_true", "herald_prob", "background_mean", "peak_centers",
+                "peak_widths", "n_pulses"]
     if seed_override is None:
         required.append("seed")
     for key in required:

@@ -5,8 +5,8 @@ Gaussian peak per detected photon number.  Every fit here is one binned
 Poisson-likelihood fit (`_poisson_fit`) in which each cell expects the sum
 over peaks of the peak's count times the cell's Gaussian mass.
 `fit_mixture` fits free peaks to the bins; `count_photons` counts each
-photon number by a fit of an equally spaced comb of peaks to the whole
-spectrum.
+photon number of the ON and OFF spectra by one fit of an equally spaced
+comb of peaks, with one detector response, to both whole spectra.
 """
 
 from __future__ import annotations
@@ -465,47 +465,36 @@ def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:
     """
     if bin_width <= 0:
         raise DomainError("bin width must be > 0")
-    counts = []
-    uncs = []
-    for k, p in enumerate(fit.peaks):
-        n = p.area / bin_width
-        da = p.sigma * SQRT_2PI / bin_width
-        ds = p.amplitude * SQRT_2PI / bin_width
-        ia, isg = 3 * k, 3 * k + 2
-        var = (
-            da**2 * fit.covariance[ia, ia]
-            + ds**2 * fit.covariance[isg, isg]
-            + 2.0 * da * ds * fit.covariance[ia, isg]
-        )
-        counts.append(n)
-        uncs.append(math.sqrt(max(var, 0.0)))
-    return CountVector(np.array(counts), np.array(uncs))
+    a, _, s = fit.parameters.reshape(-1, 3).T
+    da, ds = s * SQRT_2PI / bin_width, a * SQRT_2PI / bin_width
+    ia = 3 * np.arange(a.size)
+    cov = fit.covariance
+    var = da**2 * cov[ia, ia] + ds**2 * cov[ia + 2, ia + 2] + 2.0 * da * ds * cov[ia, ia + 2]
+    return CountVector(a * s * SQRT_2PI / bin_width, np.sqrt(np.maximum(var, 0.0)))
 
 
 def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):
-    """Counts of photon numbers 0 .. n_windows - 1 in the ON and OFF spectra,
+    """Counts of photon numbers 0 .. n_windows - 1 in the ON and OFF spectra
     from one binned Poisson-likelihood fit of a Gaussian comb to both: (on
     counts, off counts, their covariance, {side: diagnostics}).
 
-    Photon number n has centre x0 + n g and width sigma_n, with sigma_n^2
-    linear in n from sigma_0^2 to sigma_K^2 at the last photon number, so no
-    width is ever negative; both sides share x0, g, sigma_0 and sigma_K, the
-    detector's response, and each has its own count N_n of each photon
-    number.  A cell of a side (its underflow, each bin, its overflow) expects
-    sum_n N_n times its `gaussian_cells` mass; overflow events that the comb
-    does not explain, from photon numbers past it, are one more count of that
-    side, added to its last photon number.  One `_poisson_fit` solve
-    minimises the deviance over x0, g, log sigma_0, log sigma_K and the log
-    counts, seeded at the ON side's tallest bin and its tallest bin more than
-    4 sigma_0 above it.  A photon number with no events within g/2 of its seed
-    centre on a side has count and variance 0 there.  The covariance is the
-    inverse Fisher matrix of the ON then the OFF counts, cross-side terms
-    included.  Photon numbers past the last with a count on either side are
-    dropped.  Each side's diagnostics hold the deviance over its own cells,
-    whose degrees of freedom are its non-empty cells less its counts and the
-    four shape parameters.  FitFailureError's `reason` is "seed" (with `side`
-    on), "convergence" or "quality" (a side's deviance per degree of freedom
-    above MAX_DEVIANCE_PER_DOF, with the worse side as `side`).
+    Both sides share the detector's response: photon number n has centre
+    x0 + n g and a width whose square is linear in n from sigma_0^2 to
+    sigma_K^2 at the last photon number, so that no width is negative.  Each
+    side has its own count N_n of each photon number: a cell of a side (its
+    underflow, each bin, its overflow) expects sum_n N_n times its
+    `gaussian_cells` mass, and the side's overflow events past the comb are
+    one more count, added to its last photon number.  One `_poisson_fit` solve
+    over x0, g, log sigma_0, log sigma_K and the log counts starts at the ON
+    side's tallest bin and its tallest bin more than 4 sigma_0 above it.  A
+    photon number with no events within g/2 of its start centre on a side has
+    count and variance 0 there; those past the last one counted are dropped.
+    The covariance is the inverse Fisher matrix of the ON then the OFF counts.
+    A side's diagnostics hold the deviance over its own cells, whose degrees
+    of freedom are its non-empty cells less its counts and the 4 shared ones.
+    FitFailureError's `reason` is "seed" (`side` on), "convergence" or
+    "quality" (the worse side's deviance per degree of freedom above
+    MAX_DEVIANCE_PER_DOF, that side as `side`).
     """
     if n_windows < 1:
         raise DomainError("need at least one window")
@@ -517,30 +506,21 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     if not above[j1] > 0:
         raise FitFailureError(f"on no counts 4 sigma above n=0 at {x[j0]:.4g}",
                               side="on", reason="seed")
-    g = x[j1] - x[j0]
-    photon = np.arange(n_windows)
+    g, photon = x[j1] - x[j0], np.arange(n_windows)
     # each photon number's place between the end widths, in sigma^2
     place = np.array([n_windows - 1 - photon, photon]) / max(n_windows - 1, 1)
     hists = {"on": on, "off": off}
     y = np.concatenate([np.r_[h.n_underflow, h.counts, h.n_overflow] for h in hists.values()])
-    # per side: its cells, and its comb's counts with their photon numbers;
-    # for each count, its start value and its place among both sides' photon
-    # numbers; the mass of each count past a comb, all in its side's overflow
-    sides, seeds, owner, end = [], [], [], 0
-    fixed = np.zeros((0, y.size))
-    for side, h in enumerate(hists.values()):
-        cells, end = slice(end, end + h.counts.size + 2), end + h.counts.size + 2
-        seed = np.clip(np.rint((h.bin_centers - x[j0]) / g), 0, n_windows - 1).astype(int)
-        events = np.bincount(seed, h.counts, minlength=n_windows)
-        n = np.flatnonzero(events)
-        sides.append((cells, slice(len(owner), len(owner) + n.size), n))
-        seeds.extend(events[n])
-        owner.extend(side * n_windows + n)
-        fixed = np.vstack([fixed, np.zeros((n.size, y.size))])
-        if h.n_overflow > 0:
-            seeds.append(h.n_overflow)
-            owner.append(side * n_windows + n_windows - 1)
-            fixed = np.vstack([fixed, np.eye(y.size)[cells.stop - 1]])
+    ends = np.cumsum([h.counts.size + 2 for h in hists.values()])
+    cells = [slice(end - h.counts.size - 2, end) for end, h in zip(ends, hists.values())]
+    # (side, photon number or past the comb) start counts; a count past the
+    # comb has the side's overflow for its only cell
+    seeds = np.array([np.r_[np.bincount(
+        np.clip(np.rint((h.bin_centers - x[j0]) / g), 0, n_windows - 1).astype(int),
+        h.counts, minlength=n_windows), h.n_overflow] for h in hists.values()])
+    free = seeds > 0
+    fixed = np.zeros((2, n_windows + 1, y.size))
+    fixed[[0, 1], n_windows, ends - 1] = 1.0
     edges = [h.bin_edges for h in hists.values()]
     if np.array_equal(*edges):
         edges = edges[:1]
@@ -552,19 +532,20 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
         # each end's share of sigma_n^2, half its derivative by the log end
         shares = np.exp(2.0 * params[2:4])[:, None] * place
         sigma = np.sqrt(shares.sum(axis=0))
-        count = np.exp(params[4:])
+        count = np.zeros(free.shape)
+        count[free] = np.exp(params[4:])
         masses, by_shape = fixed.copy(), np.empty((4, y.size))
         # one pass serves both sides when their bin edges agree
         passes = itertools.cycle(gaussian_cells(e, x0 + photon * g, sigma) for e in edges)
-        for (cells, rows, n), (mass, (by_center, by_width)) in zip(sides, passes):
-            comb = count[rows]
-            masses[rows, cells] = mass[n]
-            by_shape[0, cells] = comb @ by_center[n]
-            by_shape[1, cells] = (comb * n) @ by_center[n]
-            by_shape[2:, cells] = (comb * shares[:, n] / sigma[n]) @ by_width[n]
-        return count, masses, by_shape
+        for rows, side, comb, (mass, (by_center, by_width)) in zip(
+                masses, cells, count[:, :-1], passes):
+            rows[:-1, side] = mass
+            by_shape[0, side] = comb @ by_center
+            by_shape[1, side] = (comb * photon) @ by_center
+            by_shape[2:, side] = (comb * shares / sigma) @ by_width
+        return count[free], masses[free], by_shape
 
-    start = np.concatenate([[x[j0], g], np.log([sigma0, sigma0]), np.log(seeds)])
+    start = np.concatenate([[x[j0], g], np.log([sigma0, sigma0]), np.log(seeds[free])])
     p, r, converged, evaluations, _, root = _poisson_fit(y, model, start)
     if not converged:
         raise FitFailureError("comb fit did not converge within the iteration cap",
@@ -572,29 +553,27 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     sigma = np.sqrt(np.exp(2.0 * p[2:4]) @ place)
     shape = dict(evaluations=evaluations, x0=float(p[0]), g=float(p[1]),
                  sigma0=float(sigma[0]), sigma1=float(sigma[min(1, n_windows - 1)]))
-    side_counts = np.bincount(np.array(owner) // n_windows, minlength=2)
     diagnostics = {}
-    for name, (cells, _, _), n_counts in zip(hists, sides, side_counts):
-        deviance = float(r[cells] @ r[cells])
-        dof = max(int(np.count_nonzero(y[cells]) - 4 - n_counts), 1)
+    for name, side, n_counts in zip(hists, cells, free.sum(axis=1)):
+        deviance = float(r[side] @ r[side])
+        dof = max(int(np.count_nonzero(y[side]) - 4 - n_counts), 1)
         diagnostics[name] = dict(deviance=deviance, degrees_of_freedom=dof,
                                  deviance_per_dof=deviance / dof, **shape)
-    worst = max(diagnostics, key=lambda side: diagnostics[side]["deviance_per_dof"])
+    worst = max(diagnostics, key=lambda name: diagnostics[name]["deviance_per_dof"])
     if not diagnostics[worst]["deviance_per_dof"] <= MAX_DEVIANCE_PER_DOF:
         raise FitFailureError(f"{worst} deviance per degree of freedom "
                               f"{diagnostics[worst]['deviance_per_dof']:.3g} > "
                               f"{MAX_DEVIANCE_PER_DOF:g}", side=worst, reason="quality")
-    # each count goes to its photon number, the count past the comb to the
+    # (side, photon number) of each count, the count past the comb to the
     # last; photon numbers past the last counted on either side are dropped
-    fold = np.eye(2 * n_windows)[:, owner]
+    slot = np.r_[photon, n_windows - 1] + n_windows * np.arange(2)[:, None]
+    fold = np.eye(2 * n_windows)[:, slot[free]].reshape(2, n_windows, -1)
     counts = fold @ np.exp(p[4:])
-    k = 1 + int(np.flatnonzero(counts[:n_windows] + counts[n_windows:]).max())
-    keep = np.r_[:k, n_windows:n_windows + k]
-    counts_root = fold[keep] @ root(p)[4:]
+    k = 1 + int(np.flatnonzero(counts.sum(axis=0)).max())
+    counts_root = (fold[:, :k] @ root(p)[4:]).reshape(2 * k, -1)
     covariance = counts_root @ counts_root.T
-    u = np.sqrt(np.diag(covariance))
-    on_counts, off_counts = (CountVector(counts[keep][j:j + k], u[j:j + k]) for j in (0, k))
-    return on_counts, off_counts, covariance, diagnostics
+    on, off = map(CountVector, counts[:, :k], np.sqrt(np.diag(covariance)).reshape(2, k))
+    return on, off, covariance, diagnostics
 
 
 def save_histogram_csv(hist: AmplitudeHistogram, path) -> None:

@@ -66,10 +66,7 @@ class ExperimentConfig:
         """Peak center per photon number; linear extrapolation past the list."""
         centers = np.asarray(self.peak_centers)
         last = centers.size - 1
-        if last == 0:
-            slope = 1.0
-        else:
-            slope = centers[last] - centers[last - 1]
+        slope = centers[last] - centers[last - 1] if last else 1.0
         n = np.asarray(n)
         inside = np.minimum(n, last)
         return centers[inside] + np.maximum(n - last, 0) * slope

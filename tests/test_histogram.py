@@ -430,6 +430,19 @@ class TestCombCounts:
         d = count_photons(on, off, 3)[3]["on"]
         assert abs(d["x0"]) < 0.01 and abs(d["g"] - 1.0) < 0.01
 
+    @pytest.mark.parametrize("pulses, seed", [(10_000, 199829066), (10_000, 3620293660),
+                                              (40_000, 108729188)])
+    def test_sparse_side_widths_stay_positive(self, pulses, seed):
+        # README [experiment] closure seeds at root 7 where a comb fit of one
+        # side alone took the root of a negative sigma^2 at an iterate (a
+        # RuntimeWarning, an error here); at 108729188 it counted the single
+        # OFF n=2 event as 1 +- 122091
+        cfg = dataclasses.replace(PAPER_SCALE, n_pulses=pulses, seed=seed)
+        on, off = simulate_histograms(cfg, 200, (-0.48, 2.48))[:2]
+        for c in count_photons(on, off, 3)[:2]:
+            assert np.all(c.uncertainties <= 5.0 * np.sqrt(np.maximum(c.counts, 1.0))), c
+        assert c.counts.size == 3
+
     def test_no_window_rejected(self):
         with pytest.raises(DomainError):
             count_photons(noisy_two_peak(), noisy_two_peak(), 0)
