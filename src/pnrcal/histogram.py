@@ -486,7 +486,8 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     `gaussian_cells` mass, and the side's overflow events past the comb are
     one more count, added to its last photon number.  One `_poisson_fit` solve
     over x0, g, log sigma_0, log sigma_K and the log counts starts at the ON
-    side's tallest bin and its tallest bin more than 4 sigma_0 above it.  A
+    side's tallest bin and, more than 4 sigma_0 above it, at the centre of its
+    run of 2 sigma_0 with the most events.  A
     photon number with no events within g/2 of its start centre on a side has
     count and variance 0 there; those past the last one counted are dropped.
     The covariance is the inverse Fisher matrix of the ON then the OFF counts.
@@ -501,7 +502,10 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     counts, x = on.counts, on.bin_centers
     j0 = int(np.argmax(counts))
     sigma0 = _half_width_sigma(on, j0)
-    above = np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0)
+    # n=1 at the most events in a run of bins about 2 sigma_0 wide: a tail bin
+    # of a tall n=0 can hold more than any one bin of a sparse n=1
+    run = np.ones(2 * int(sigma0 / on.bin_width) + 1)
+    above = np.convolve(np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0), run, "same")
     j1 = int(np.argmax(above))
     if not above[j1] > 0:
         raise FitFailureError(f"on no counts 4 sigma above n=0 at {x[j0]:.4g}",

@@ -443,6 +443,18 @@ class TestCombCounts:
             assert np.all(c.uncertainties <= 5.0 * np.sqrt(np.maximum(c.counts, 1.0))), c
         assert c.counts.size == 3
 
+    @pytest.mark.parametrize("seed", [345101618, 4059685801])
+    def test_sparse_n1_seeded_past_the_n0_tail(self, seed):
+        # README [experiment] at 10k pulses, closure root 2: with sigma_0
+        # taken short from the half-width, the tallest bin 4 sigma_0 above
+        # n=0 was in its tail, and the comb settled at g/2 with n=1 empty
+        cfg = dataclasses.replace(PAPER_SCALE, n_pulses=10_000, seed=seed)
+        on, off, tallies = simulate_histograms(cfg, 200, (-0.48, 2.48))
+        *counts, _, diagnostics = count_photons(on, off, 3)
+        assert abs(diagnostics["on"]["g"] - 1.0) < 0.05
+        for c, truth in zip(counts, (tallies.on_counts_by_n, tallies.off_counts_by_n)):
+            assert np.all(np.abs(c.counts - truth[:c.counts.size]) < c.uncertainties), (c, truth)
+
     def test_no_window_rejected(self):
         with pytest.raises(DomainError):
             count_photons(noisy_two_peak(), noisy_two_peak(), 0)
@@ -526,9 +538,9 @@ class TestFitGolden:
                       "0x1.288c2e499e84fp-28"),
     }
     COMB = {
-        "on": ["0x1.09fc0fffffff4p+20", "0x1.520fffffe1749p+13", "0x1.e0000009d1b2ap+4"],
-        "off": ["0x1.0bba3fffffffdp+20", "0x1.7f20000136e22p+11", "0x1.0001004078679p+1"],
-        "covariance": "e542df8341dac8783eb06f8ae343aa37c11aee4b627fc140c01e05d433b0a273",
+        "on": ["0x1.09fc10000000dp+20", "0x1.521000002da49p+13", "0x1.dffffff14599bp+4"],
+        "off": ["0x1.0bba3fffffffdp+20", "0x1.7f1ffffe2ffa7p+11", "0x1.fffd02ead476ep+0"],
+        "covariance": "802082d2e4b7520076630bbee35ea060967ed7d15cb287c135a8a58e0577d949",
     }
 
     def test_fits(self):
