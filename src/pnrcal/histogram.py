@@ -12,7 +12,6 @@ comb of peaks, with one detector response, to both whole spectra.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -513,19 +512,19 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     g, photon = x[j1] - x[j0], np.arange(n_windows)
     # each photon number's place between the end widths, in sigma^2
     place = np.array([n_windows - 1 - photon, photon]) / max(n_windows - 1, 1)
-    hists = {"on": on, "off": off}
-    y = np.concatenate([np.r_[h.n_underflow, h.counts, h.n_overflow] for h in hists.values()])
-    ends = np.cumsum([h.counts.size + 2 for h in hists.values()])
-    cells = [slice(end - h.counts.size - 2, end) for end, h in zip(ends, hists.values())]
+    names, hists = ("on", "off"), (on, off)
+    y = np.concatenate([np.r_[h.n_underflow, h.counts, h.n_overflow] for h in hists])
+    ends = np.cumsum([h.counts.size + 2 for h in hists])
+    cells = [slice(end - h.counts.size - 2, end) for end, h in zip(ends, hists)]
     # (side, photon number or past the comb) start counts; a count past the
     # comb has the side's overflow for its only cell
     seeds = np.array([np.r_[np.bincount(
         np.clip(np.rint((h.bin_centers - x[j0]) / g), 0, n_windows - 1).astype(int),
-        h.counts, minlength=n_windows), h.n_overflow] for h in hists.values()])
+        h.counts, minlength=n_windows), h.n_overflow] for h in hists])
     free = seeds > 0
     fixed = np.zeros((2, n_windows + 1, y.size))
     fixed[[0, 1], n_windows, ends - 1] = 1.0
-    edges = [h.bin_edges for h in hists.values()]
+    edges = [h.bin_edges for h in hists]
     if np.array_equal(*edges):
         edges = edges[:1]
 
@@ -540,7 +539,7 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
         count[free] = np.exp(params[4:])
         masses, by_shape = fixed.copy(), np.empty((4, y.size))
         # one pass serves both sides when their bin edges agree
-        passes = itertools.cycle(gaussian_cells(e, x0 + photon * g, sigma) for e in edges)
+        passes = [gaussian_cells(e, x0 + photon * g, sigma) for e in edges] * 2
         for rows, side, comb, (mass, (by_center, by_width)) in zip(
                 masses, cells, count[:, :-1], passes):
             rows[:-1, side] = mass
@@ -557,17 +556,17 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     sigma = np.sqrt(np.exp(2.0 * p[2:4]) @ place)
     shape = dict(evaluations=evaluations, x0=float(p[0]), g=float(p[1]),
                  sigma0=float(sigma[0]), sigma1=float(sigma[min(1, n_windows - 1)]))
-    diagnostics = {}
-    for name, side, n_counts in zip(hists, cells, free.sum(axis=1)):
-        deviance = float(r[side] @ r[side])
-        dof = max(int(np.count_nonzero(y[side]) - 4 - n_counts), 1)
-        diagnostics[name] = dict(deviance=deviance, degrees_of_freedom=dof,
-                                 deviance_per_dof=deviance / dof, **shape)
-    worst = max(diagnostics, key=lambda name: diagnostics[name]["deviance_per_dof"])
-    if not diagnostics[worst]["deviance_per_dof"] <= MAX_DEVIANCE_PER_DOF:
-        raise FitFailureError(f"{worst} deviance per degree of freedom "
-                              f"{diagnostics[worst]['deviance_per_dof']:.3g} > "
-                              f"{MAX_DEVIANCE_PER_DOF:g}", side=worst, reason="quality")
+    deviance = np.array([r[side] @ r[side] for side in cells])
+    dof = np.maximum(np.array([np.count_nonzero(y[side]) for side in cells]) - 4
+                     - free.sum(axis=1), 1)
+    worst = int(np.argmax(deviance / dof))
+    if not deviance[worst] / dof[worst] <= MAX_DEVIANCE_PER_DOF:
+        raise FitFailureError(f"{names[worst]} deviance per degree of freedom "
+                              f"{deviance[worst] / dof[worst]:.3g} > {MAX_DEVIANCE_PER_DOF:g}",
+                              side=names[worst], reason="quality")
+    diagnostics = {name: dict(deviance=float(d), degrees_of_freedom=int(f),
+                              deviance_per_dof=float(d / f), **shape)
+                   for name, d, f in zip(names, deviance, dof)}
     # (side, photon number) of each count, the count past the comb to the
     # last; photon numbers past the last counted on either side are dropped
     slot = np.r_[photon, n_windows - 1] + n_windows * np.arange(2)[:, None]
