@@ -145,18 +145,17 @@ def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray):
     from scipy.special import ndtr
 
     z = (edges - centers[:, None]) / widths[:, None]
-    # each edge's share by the centre and the width; infinite edges add nothing
-    at_edges = np.zeros((2, centers.size, edges.size + 2))
+    # at each edge, its share of the slopes by the centre and by the width
+    # and the signed tail beyond it; infinite edges add nothing
+    at_edges = np.zeros((3, centers.size, edges.size + 2))
     at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
     at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
-    # masses from the tail beyond each edge, so that a cell above the centre
-    # keeps its relative precision; the cell holding the centre (where `above`
-    # turns) is one less both tails
-    above = z >= 0
-    tail = np.where(above, -1.0, 1.0) * ndtr(-np.abs(z))
-    masses = np.diff(above, axis=1, prepend=False, append=True) + np.diff(
-        tail, axis=1, prepend=0.0, append=0.0)
-    return masses, np.diff(at_edges)
+    # masses from the tails, so that a cell above the centre keeps its
+    # relative precision; the cell holding the centre is one less both tails
+    at_edges[2, :, 1:-1] = np.where(z < 0, 1.0, -1.0) * ndtr(-np.abs(z))
+    cells = at_edges[:, :, 1:] - at_edges[:, :, :-1]
+    cells[2, np.arange(centers.size), np.count_nonzero(z < 0, axis=1)] += 1.0
+    return cells[2], cells[:2]
 
 
 def build_histogram(
