@@ -485,9 +485,9 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     one more count, added to its last photon number.  One `_poisson_fit` solve
     over x0, g, log sigma_0, log sigma_K and the log counts starts at the ON
     side's tallest bin and, more than 4 sigma_0 above it, at the centre of its
-    run of 2 sigma_0 with the most events.  A
-    photon number with no events within g/2 of its start centre on a side has
-    count and variance 0 there; those past the last one counted are dropped.
+    run of 2 sigma_0 with the most events.  A photon number with no events
+    within g/2 of its start centre on a side has count and variance 0 there;
+    those past the last one counted on either side are dropped.
     The covariance is the inverse Fisher matrix of the ON then the OFF counts.
     A side's diagnostics hold the deviance over its own cells, whose degrees
     of freedom are its non-empty cells less its counts and the 4 shared ones.
@@ -497,20 +497,21 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
     """
     if n_windows < 1:
         raise DomainError("need at least one window")
-    counts, x = on.counts, on.bin_centers
-    j0 = int(np.argmax(counts))
+    x = on.bin_centers
+    j0 = int(np.argmax(on.counts))
     sigma0 = _half_width_sigma(on, j0)
     # n=1 at the most events in a run of bins about 2 sigma_0 wide: a tail bin
     # of a tall n=0 can hold more than any one bin of a sparse n=1
     run = np.ones(2 * int(sigma0 / on.bin_width) + 1)
-    above = np.convolve(np.where(x > x[j0] + 4.0 * sigma0, counts, 0.0), run, "same")
+    above = np.convolve(np.where(x > x[j0] + 4.0 * sigma0, on.counts, 0.0), run, "same")
     j1 = int(np.argmax(above))
     if not above[j1] > 0:
         raise FitFailureError(f"on no counts 4 sigma above n=0 at {x[j0]:.4g}",
                               side="on", reason="seed")
     g, photon = x[j1] - x[j0], np.arange(n_windows)
     # each photon number's place between the end widths, in sigma^2
-    place = np.array([n_windows - 1 - photon, photon]) / max(n_windows - 1, 1)
+    place = photon / max(n_windows - 1, 1)
+    place = np.array([1.0 - place, place])
     names, hists = ("on", "off"), (on, off)
     y = np.concatenate([np.r_[h.n_underflow, h.counts, h.n_overflow] for h in hists])
     ends = np.cumsum([h.counts.size + 2 for h in hists])
@@ -537,7 +538,8 @@ def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: in
         count = np.zeros(free.shape)
         count[free] = np.exp(params[4:])
         masses, by_shape = fixed.copy(), np.empty((4, y.size))
-        # one pass serves both sides when their bin edges agree
+        # one pass serves both sides when their bin edges agree (zip below
+        # takes the first two)
         passes = [gaussian_cells(e, x0 + photon * g, sigma) for e in edges] * 2
         for rows, side, comb, (mass, (by_center, by_width)) in zip(
                 masses, cells, count[:, :-1], passes):
