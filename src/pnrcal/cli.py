@@ -78,8 +78,15 @@ def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     sec = parser["experiment"]
-    required = ["gamma_true", "xi_true", "herald_prob", "background_mean", "peak_centers",
-                "peak_widths", "n_pulses"]
+    required = [
+        "gamma_true",
+        "xi_true",
+        "herald_prob",
+        "background_mean",
+        "peak_centers",
+        "peak_widths",
+        "n_pulses",
+    ]
     if seed_override is None:
         required.append("seed")
     for key in required:
@@ -159,7 +166,7 @@ def _run_calibration(args) -> reports.CalibrationResult:
     n_bins = (_number(fit_sec, "bins", int, 200) if args.bins is None
               else _positive(args.bins, "--bins"))
 
-    covariance = fit_quality = None
+    covariance = count_covariance = fit_quality = None
     if args.bypass_fit:
         if "counts" not in parser:
             raise ConfigError("bypass-fit mode needs a [counts] section")
@@ -176,13 +183,14 @@ def _run_calibration(args) -> reports.CalibrationResult:
             _amplitude_path(sec, "on"),
             _amplitude_path(sec, "off"),
         )
-        on, off, covariance, fit_quality = hg.count_photons(on_hist, off_hist, n_peaks)
+        on, off, count_covariance, fit_quality = hg.count_photons(on_hist, off_hist, n_peaks)
 
     if args.covariance:
         names = counting_inputs(on, off, xi).names
-        covariance = reports.load_covariance_csv(args.covariance, names)
+        # the file's covariance replaces the fit's
+        covariance, count_covariance = reports.load_covariance_csv(args.covariance, names), None
 
-    result = reports.calibrate_counts(on, off, xi, covariance=covariance)
+    result = reports.calibrate_counts(on, off, xi, covariance, count_covariance)
     return dataclasses.replace(result, fit_quality=fit_quality)
 
 

@@ -463,12 +463,21 @@ def extract_counts(fit: MixtureFit, bin_width: float) -> CountVector:
     """
     if bin_width <= 0:
         raise DomainError("bin width must be > 0")
-    a, _, s = fit.parameters.reshape(-1, 3).T
-    da, ds = s * SQRT_2PI / bin_width, a * SQRT_2PI / bin_width
-    ia = 3 * np.arange(a.size)
-    cov = fit.covariance
-    var = da**2 * cov[ia, ia] + ds**2 * cov[ia + 2, ia + 2] + 2.0 * da * ds * cov[ia, ia + 2]
-    return CountVector(a * s * SQRT_2PI / bin_width, np.sqrt(np.maximum(var, 0.0)))
+    counts = []
+    uncs = []
+    for k, p in enumerate(fit.peaks):
+        n = p.area / bin_width
+        da = p.sigma * SQRT_2PI / bin_width
+        ds = p.amplitude * SQRT_2PI / bin_width
+        ia, isg = 3 * k, 3 * k + 2
+        var = (
+            da**2 * fit.covariance[ia, ia]
+            + ds**2 * fit.covariance[isg, isg]
+            + 2.0 * da * ds * fit.covariance[ia, isg]
+        )
+        counts.append(n)
+        uncs.append(math.sqrt(max(var, 0.0)))
+    return CountVector(np.array(counts), np.array(uncs))
 
 
 def count_photons(on: AmplitudeHistogram, off: AmplitudeHistogram, n_windows: int):

@@ -59,14 +59,16 @@ def calibrate_counts(
     off: CountVector,
     xi: HeraldPurity,
     covariance: np.ndarray | None = None,
+    count_covariance: np.ndarray | None = None,
 ) -> CalibrationResult:
     """Every estimate and budget on extracted (or injected) counts, from
-    one cross-checked Jacobian of the estimator core.
+    one cross-checked Jacobian of the estimator core; the covariances are
+    those of `uncertainty.counting_inputs`.
 
     A photon number with no counts on either side, or whose estimate is
     undefined, raises UninformativeBinError naming it.
     """
-    inputs = unc.counting_inputs(on, off, xi, covariance)
+    inputs = unc.counting_inputs(on, off, xi, covariance, count_covariance)
     if on.total <= 0 or off.total <= 0:
         raise DomainError("total count must be > 0")
     if xi.xi <= 0:

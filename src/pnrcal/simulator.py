@@ -66,7 +66,10 @@ class ExperimentConfig:
         """Peak center per photon number; linear extrapolation past the list."""
         centers = np.asarray(self.peak_centers)
         last = centers.size - 1
-        slope = centers[last] - centers[last - 1] if last else 1.0
+        if last == 0:
+            slope = 1.0
+        else:
+            slope = centers[last] - centers[last - 1]
         n = np.asarray(n)
         inside = np.minimum(n, last)
         return centers[inside] + np.maximum(n - last, 0) * slope
@@ -324,7 +327,7 @@ def _closure_single(config: ExperimentConfig, n_bins: int, max_index: int):
     on_hist, off_hist, _ = simulate_histograms(config, n_bins, (lo, hi))
     xi = estimate_xi(simulate_herald_stats(config, dark_rate_for_purity(config)))
     on, off, covariance, _ = hg.count_photons(on_hist, off_hist, max_index + 1)
-    result = calibrate_counts(on, off, xi, covariance)
+    result = calibrate_counts(on, off, xi, count_covariance=covariance)
     scored = {name: (e.gamma, e.u_gamma) for name, e in result.estimates.items()}
     scored["weighted_mean"] = (result.combined.gamma, result.combined.u_gamma)
     return scored

@@ -95,18 +95,23 @@ def counting_inputs(
     off: CountVector,
     xi: HeraldPurity,
     covariance: np.ndarray | None = None,
+    count_covariance: np.ndarray | None = None,
 ) -> InputVector:
     """Pack ON counts, OFF counts and the herald purity into one vector,
-    with an optional covariance in the same order: of all of them, or of the
-    counts alone, with the herald purity independent of them."""
+    with an optional covariance of all of them in the same order, or of the
+    ON then OFF counts alone (`count_covariance`, as from
+    `histogram.count_photons`), the herald purity independent of them."""
     if on.counts.size != off.counts.size:
         raise DomainError("ON and OFF count vectors must share length")
     k = on.counts.size
     names = [f"C_on_{i}" for i in range(k)] + [f"C_off_{i}" for i in range(k)] + ["xi"]
     values = np.concatenate([on.counts, off.counts, [xi.xi]])
     u = np.concatenate([on.uncertainties, off.uncertainties, [xi.u_xi]])
-    if covariance is not None and len(covariance) == 2 * k:
-        covariance = np.block([[covariance, np.zeros((2 * k, 1))], [np.zeros(2 * k), xi.u_xi**2]])
+    if count_covariance is not None:
+        if covariance is not None:
+            raise DomainError("pass the covariance of all inputs or of the counts, not both")
+        covariance = np.pad(np.asarray(count_covariance, dtype=float), (0, 1))
+        covariance[-1, -1] = xi.u_xi**2
     return InputVector(tuple(names), values, u, covariance)
 
 

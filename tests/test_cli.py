@@ -414,7 +414,8 @@ class TestCalibrateEndToEnd:
 
         on, off = (build_histogram(load_amplitudes(paths[side]), 200) for side in ("on", "off"))
         on_counts, off_counts, covariance, diagnostics = count_photons(on, off, 3)
-        serial = calibrate_counts(on_counts, off_counts, HeraldPurity(0.95, 1e-4), covariance)
+        serial = calibrate_counts(on_counts, off_counts, HeraldPurity(0.95, 1e-4),
+                                  count_covariance=covariance)
 
         assert result.fit_quality == diagnostics
         assert result.inputs.covariance.tobytes() == serial.inputs.covariance.tobytes()
@@ -531,7 +532,8 @@ class TestReadmePipeline:
         on, off = (build_histogram(a, 200) for a in (run.on_amplitudes, run.off_amplitudes))
         on_counts, off_counts, covariance, _ = count_photons(on, off, 3)
         xi = estimate_xi(HeraldStats(n_on=1_000_000, n_off=12060))
-        estimates = calibrate_counts(on_counts, off_counts, xi, covariance).estimates
+        estimates = calibrate_counts(on_counts, off_counts, xi,
+                                     count_covariance=covariance).estimates
         for name in ("gamma0", "gamma1", "gamma2"):
             e = estimates[name]
             assert abs(e.gamma - README_EXPERIMENT.gamma_true) <= 3.0 * e.u_gamma, (name, e)

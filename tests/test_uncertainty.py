@@ -85,6 +85,22 @@ class TestInputVector:
         with pytest.raises(DomainError):  # not PSD
             InputVector(names, v, u, np.array([[0.01, 0.03], [0.03, 0.04]]))
 
+    def test_count_covariance_padded_with_xi(self):
+        on = CountVector(np.array(C_ON), np.array(U_ON))
+        off = CountVector(np.array(C_OFF), np.array(U_OFF))
+        xi = HeraldPurity(XI, U_XI)
+        u = np.array(U_ON + U_OFF)
+        counts = np.diag(u**2)
+        counts[0, 3] = counts[3, 0] = 0.5 * u[0] * u[3]
+        iv = counting_inputs(on, off, xi, count_covariance=counts)
+        assert np.array_equal(iv.covariance[:-1, :-1], counts)
+        assert not iv.covariance[-1, :-1].any() and not iv.covariance[:-1, -1].any()
+        assert iv.covariance[-1, -1] == U_XI**2
+        with pytest.raises(DomainError, match="not both"):
+            counting_inputs(on, off, xi, iv.covariance, counts)
+        with pytest.raises(DomainError, match="shape"):
+            counting_inputs(on, off, xi, count_covariance=counts[:-1, :-1])
+
 
 def per_column_differences(f, iv):
     """Reference central differences, one perturbed pair of calls per input."""
