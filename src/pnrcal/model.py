@@ -9,7 +9,7 @@ independent closed-form estimate of the efficiency, plus the click/no-click
 `gamma_estimates` is the one place these formulas and their derivatives
 are written: it maps raw ON/OFF counts and the herald purity to every
 estimate and the full Jacobian.  The distribution-level estimators here,
-the gradient views in the uncertainty module, the calibration report and
+the estimator views in the uncertainty module, the calibration report and
 the closure test all read from it.
 
 Efficiencies are carried as dimensionless fractions everywhere; rendering
@@ -235,8 +235,8 @@ def gamma_estimates(c_on, c_off, xi) -> tuple[np.ndarray, np.ndarray]:
     `uncertainty.counting_inputs`.  Any leading batch axes broadcast:
     `c_on` and `c_off` of shape (..., k) and `xi` of shape (...) give
     values of shape (..., k+1) and a Jacobian of shape (..., k+1, 2k+1);
-    each point's values equal those of a call on that point alone, and its
-    Jacobian equals it to rounding.  An estimate whose denominator
+    each point's values and Jacobian equal those of a call on that point
+    alone, bit for bit.  An estimate whose denominator
     vanishes comes back non-finite, without a warning; callers decide what
     an undefined bin means.
     """

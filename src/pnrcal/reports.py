@@ -61,9 +61,9 @@ def calibrate_counts(
     covariance: np.ndarray | None = None,
     count_covariance: np.ndarray | None = None,
 ) -> CalibrationResult:
-    """Every estimate and budget on extracted (or injected) counts, from
-    one cross-checked Jacobian of the estimator core; the covariances are
-    those of `uncertainty.counting_inputs`.
+    """Every estimate and budget on extracted (or injected) counts, from one
+    evaluation of the estimator core (values, Jacobian and its cross-check)
+    and one `propagate`; the covariances are those of `counting_inputs`.
 
     A photon number with no counts on either side, or whose estimate is
     undefined, raises UninformativeBinError naming it.
@@ -79,20 +79,15 @@ def calibrate_counts(
         raise UninformativeBinError(
             f"photon number {empty[0]} has no counts on either side"
         )
-    core = unc.CountingEstimators()
-    values = core(inputs.values)
-    require_defined(values, range(k))
-    jac = unc.jacobian(core, inputs)
-
+    values, jac = unc.values_and_jacobian(
+        unc.CountingEstimators(), inputs, lambda v: require_defined(v, range(k))
+    )
     names = estimate_names(k)
-    sources = names[:k] + ["klyshko"]
-    estimates: dict[str, EfficiencyEstimate] = {}
-    budgets: dict[str, unc.UncertaintyBudget] = {}
-    for name, source, value, gradient in zip(names, sources, values, jac):
-        budgets[name] = unc.propagate(gradient, inputs, target=name)
-        estimates[name] = EfficiencyEstimate(
-            float(value), budgets[name].combined, source
-        )
+    budgets = dict(zip(names, unc.propagate(jac, inputs, names)))
+    estimates = {
+        name: EfficiencyEstimate(float(value), budgets[name].combined, source)
+        for name, source, value in zip(names, names[:k] + ["klyshko"], values)
+    }
     combined = weighted_mean([estimates[name] for name in names[:k]])
     return CalibrationResult(estimates, budgets, combined, inputs)
 

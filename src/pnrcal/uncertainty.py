@@ -3,21 +3,19 @@
 Every efficiency estimator is a smooth function of the raw inputs: the
 per-photon-number counts of the heralded (ON) and non-heralded (OFF)
 spectra plus the herald purity.  This module carries those inputs with
-their uncertainties (and optionally a full covariance), chains them into
-the estimator core `model.gamma_estimates` (all estimates and their
-analytic Jacobian), cross-checks that Jacobian against central finite
-differences, and turns gradients into per-input contribution budgets.
+their uncertainties (and optionally a full covariance), evaluates the
+estimator core `model.gamma_estimates` (all estimates and their analytic
+Jacobian) once on the inputs stacked over every central-difference
+neighbour, cross-checks the Jacobian against those differences, and turns
+all its rows into per-input contribution budgets in one `propagate`.
 
-An estimator is called on input values, not on an `InputVector`: `f(q)`
-and `f.gradient(q)` take q of shape (..., n), with any leading batch axes,
-in the order of the `InputVector` it is checked on.  The cross-check
-stacks the centre and all 2n perturbed points into one (2n+1, n) batch
-and evaluates the estimator once on it.
+An estimator is evaluated on input values, not on an `InputVector`:
+`f.evaluate(q)` gives the values and analytic gradient at each point of q
+of shape (..., n), in the order of the `InputVector` it is checked on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +120,7 @@ class CountingEstimators:
 
     row = slice(None)
 
-    def _evaluate(self, q) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, q) -> tuple[np.ndarray, np.ndarray]:
         q = np.asarray(q, dtype=float)
         n = q.shape[-1]
         if n % 2 != 1 or n < 3:
@@ -132,12 +130,6 @@ class CountingEstimators:
             raise DomainError(f"index {self.row} outside support 0..{k - 1}")
         values, jac = gamma_estimates(q[..., :k], q[..., k : 2 * k], q[..., -1])
         return values[..., self.row], jac[..., self.row, :]
-
-    def __call__(self, q) -> np.ndarray:
-        return self._evaluate(q)[0]
-
-    def gradient(self, q) -> np.ndarray:
-        return self._evaluate(q)[1]
 
 
 class GammaEstimator(CountingEstimators):
@@ -158,76 +150,87 @@ class KlyshkoEstimator(CountingEstimators):
     row = -1
 
 
-def _central_differences(f, at: InputVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f at the centre, the central-difference gradient and the steps, from
-    one call of f on the centre stacked over every perturbed point."""
+def _evaluate(f, at: InputVector, require=None) -> tuple[np.ndarray, ...]:
+    """f's values and analytic gradient at `at`, its central differences and
+    their steps, from one evaluation of f on the centre stacked over every
+    perturbed point; `require` may reject the values at the centre first."""
     q = at.values
     n = q.size
     steps = np.maximum(FD_REL_STEP * np.abs(q), FD_MIN_STEP)
-    batch = np.tile(q, (2 * n + 1, 1))
-    batch[1 + np.arange(n), np.arange(n)] += steps
-    batch[1 + n + np.arange(n), np.arange(n)] -= steps
-    out = np.moveaxis(np.asarray(f(batch), dtype=float), 0, -1)
+    shift = np.diag(steps)
+    values, gradients = f.evaluate(np.concatenate([q[None], q + shift, q - shift]))
+    out = np.moveaxis(np.asarray(values, dtype=float), 0, -1)
     centre, fp, fm = out[..., 0], out[..., 1 : n + 1], out[..., n + 1 :]
+    if require is not None:
+        require(centre)
     undefined = ~(np.isfinite(fp) & np.isfinite(fm)).reshape(-1, n).all(axis=0)
     if undefined.any():
         raise DomainError(
             f"estimator undefined at perturbed {at.names[np.argmax(undefined)]}"
         )
-    return centre, (fp - fm) / (2.0 * steps), steps
+    return centre, np.asarray(gradients, dtype=float)[0], (fp - fm) / (2.0 * steps), steps
 
 
 def finite_difference_gradient(f, at: InputVector) -> np.ndarray:
     """Central differences with step max(1e-6 |q|, 1e-10) per component, from
-    one batched call of f; a vector-valued f gives one row per component."""
-    return _central_differences(f, at)[1]
+    one batched evaluation of f; a vector-valued f gives one row per component."""
+    return _evaluate(f, at)[2]
 
 
-def jacobian(f, at: InputVector) -> np.ndarray:
-    """Gradient of an estimator, computed analytically and cross-checked
-    against central finite differences; disagreement beyond 1e-6 relative
-    raises NumericalInstabilityError.  A vector-valued estimator gets the
-    same check row by row."""
-    if not hasattr(f, "gradient"):
-        raise TypeError("estimator must expose an analytic .gradient")
-    analytic = np.asarray(f.gradient(at.values), dtype=float)
-    centre, fd, steps = _central_differences(f, at)
+def values_and_jacobian(f, at: InputVector, require=None) -> tuple[np.ndarray, np.ndarray]:
+    """f's values at `at` and its analytic gradient, from one evaluation of f;
+    `require(values)`, if given, may reject the values before the gradient is
+    checked against central differences.  Disagreement beyond 1e-6 relative,
+    row by row, raises NumericalInstabilityError naming the worst violation."""
+    if not hasattr(f, "evaluate"):
+        raise TypeError("estimator must expose .evaluate with an analytic gradient")
+    centre, analytic, fd, steps = _evaluate(f, at, require)
     # Two noise floors limit what central differences can certify: components
     # many decades below the gradient norm sit under the cancellation noise
     # of the fixed relative step, and every difference quotient carries an
     # absolute rounding floor of order eps * |f| / h.
-    scale = np.maximum(
-        np.maximum(np.abs(analytic).max(axis=-1), np.abs(fd).max(axis=-1)), 1e-300
-    )[..., None]
+    larger = np.maximum(np.abs(analytic), np.abs(fd))
+    scale = np.maximum(larger.max(axis=-1), 1e-300)[..., None]
     f_scale = np.maximum(1.0, np.abs(centre))[..., None]
     rounding_floor = 16.0 * np.finfo(float).eps * f_scale / steps
-    tol = (
-        GRADIENT_AGREEMENT_RTOL * np.maximum(np.abs(analytic), np.abs(fd))
-        + 1e-8 * scale
-        + rounding_floor
-    )
+    tol = GRADIENT_AGREEMENT_RTOL * larger + 1e-8 * scale + rounding_floor
     bad = np.abs(analytic - fd) > tol
     if bad.any():
-        worst = np.unravel_index(np.argmax(np.abs(analytic - fd)), analytic.shape)
+        excess = np.where(bad, np.abs(analytic - fd) / tol, 0.0)
+        worst = np.unravel_index(np.argmax(excess), excess.shape)
+        row = f" in row {worst[0]}" if analytic.ndim > 1 else ""
         raise NumericalInstabilityError(
-            f"analytic/finite-difference gradients disagree at {at.names[worst[-1]]}: "
-            f"{analytic[worst]!r} vs {fd[worst]!r}"
+            f"analytic/finite-difference gradients disagree{row} at "
+            f"{at.names[worst[-1]]}: {float(analytic[worst])} vs {float(fd[worst])}"
         )
-    return analytic
+    return centre, analytic
 
 
-def propagate(gradient: np.ndarray, inputs: InputVector, target: str = "") -> UncertaintyBudget:
+def jacobian(f, at: InputVector) -> np.ndarray:
+    """The cross-checked analytic gradient of `values_and_jacobian`."""
+    return values_and_jacobian(f, at)[1]
+
+
+def propagate(
+    gradient: np.ndarray, inputs: InputVector, target: str | list[str] = ""
+) -> UncertaintyBudget | list[UncertaintyBudget]:
     """combined^2 = g^T Sigma g (full covariance when present, else the
-    diagonal); contributions are the signed g_i * u(q_i)."""
+    diagonal); contributions are the signed g_i * u(q_i).  A (rows, n)
+    gradient gives a list of every row's budget, named in order by `target`."""
     g = np.asarray(gradient, dtype=float)
-    if g.shape != inputs.values.shape:
-        raise DomainError("gradient and inputs must share ordering and length")
+    if g.ndim == 1:
+        return propagate(g[None], inputs, [target])[0]
+    if g.ndim != 2 or g.shape[1:] != inputs.values.shape or len(target) != len(g):
+        raise DomainError("gradient rows, targets and inputs must share ordering and length")
     contributions = g * inputs.uncertainties
     if inputs.covariance is not None:
-        combined = float(math.sqrt(max(g @ inputs.covariance @ g, 0.0)))
+        # one g @ Sigma @ g per row, summed as for a single row
+        variance = (g[:, None, :] @ inputs.covariance @ g[:, :, None])[:, 0, 0]
     else:
-        combined = float(math.sqrt(np.sum(contributions**2)))
-    return UncertaintyBudget(target, inputs.names, contributions, combined)
+        variance = np.sum(contributions**2, axis=-1)
+    combined = np.sqrt(np.maximum(variance, 0.0))
+    return [UncertaintyBudget(t, inputs.names, c, float(u))
+            for t, c, u in zip(target, contributions, combined)]
 
 
 def budget_for(f, inputs: InputVector) -> UncertaintyBudget:

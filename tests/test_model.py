@@ -212,19 +212,26 @@ class TestEstimateGamma:
     def test_core_batch_equals_per_point_calls(self):
         rng = np.random.default_rng(11)
         for k in range(2, 6):
+            # random points, and a random centre stacked over the points
+            # moved by +h and -h along one input (h = 1e-6 relative), the
+            # batch of the uncertainty module's cross-check
+            centre = np.append(rng.uniform(1.0, 1e6, 2 * k), rng.uniform(0.5, 1.0))
+            h = np.diag(1e-6 * centre)
+            perturbed = np.vstack([centre, centre + h, centre - h])
+            batches = [(perturbed[:, :k], perturbed[:, k:-1], perturbed[:, -1])]
             for shape in ((40,), (3, 5)):
-                c_on = rng.uniform(1.0, 1e6, shape + (k,))
-                c_off = rng.uniform(1.0, 1e6, shape + (k,))
-                xi = rng.uniform(0.5, 1.0, shape)
+                batches.append((rng.uniform(1.0, 1e6, shape + (k,)),
+                                rng.uniform(1.0, 1e6, shape + (k,)),
+                                rng.uniform(0.5, 1.0, shape)))
+            for c_on, c_off, xi in batches:
+                shape = xi.shape
                 values, jac = gamma_estimates(c_on, c_off, xi)
                 assert values.shape == shape + (k + 1,)
                 assert jac.shape == shape + (k + 1, 2 * k + 1)
                 for idx in np.ndindex(*shape):
                     v1, j1 = gamma_estimates(c_on[idx], c_off[idx], xi[idx])
-                    assert np.all(np.abs(values[idx] - v1)
-                                  <= 4e-16 * np.abs(v1).max())
-                    row_max = np.abs(j1).max(axis=-1, keepdims=True)
-                    assert np.all(np.abs(jac[idx] - j1) <= 4e-16 * row_max)
+                    assert np.array_equal(values[idx], v1)
+                    assert np.array_equal(jac[idx], j1)
 
     @given(
         gamma=st.floats(1e-6, 1.0),

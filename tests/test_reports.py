@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pnrcal import uncertainty as unc
+from pnrcal.errors import UninformativeBinError
 from pnrcal.model import CountVector, HeraldPurity, gamma_estimates
 from pnrcal.reports import calibrate_counts
 
@@ -104,8 +105,9 @@ def test_published_table_matches_golden(case):
     assert result.combined.u_gamma == pytest.approx(u, rel=1e-12, abs=0)
 
 
-def test_estimator_core_called_at_most_three_times(monkeypatch):
-    # values, analytic Jacobian and one batch for the finite differences
+@pytest.mark.parametrize("case", ["diagonal", "covariance", "count_covariance"])
+def test_estimator_core_evaluated_once(monkeypatch, case):
+    # values, analytic Jacobian and finite differences from one batch
     calls = []
 
     def counted(*args):
@@ -113,5 +115,18 @@ def test_estimator_core_called_at_most_three_times(monkeypatch):
         return gamma_estimates(*args)
 
     monkeypatch.setattr(unc, "gamma_estimates", counted)
-    calibrate_counts(ON, OFF, XI)
-    assert len(calls) <= 3
+    cov = pedestal_covariance()
+    if case == "count_covariance":
+        calibrate_counts(ON, OFF, XI, count_covariance=cov[:-1, :-1])
+    else:
+        calibrate_counts(ON, OFF, XI, covariance=cov if case == "covariance" else None)
+    assert len(calls) == 1
+
+
+def test_undefined_bin_named_before_the_cross_check():
+    # every perturbed point but C_off_0's is undefined too; the bin is named
+    # first, not a perturbed input
+    off = CountVector(np.array([0.0, 1.46e4, 23.9]), OFF.uncertainties)
+    with pytest.raises(UninformativeBinError) as raised:
+        calibrate_counts(ON, off, XI)
+    assert str(raised.value) == "B(0) = 0: gamma_0 undefined"

@@ -62,7 +62,10 @@ class LinearFunctional:
         return np.asarray(q) @ self.coeff
 
     def gradient(self, q):
-        return self.coeff.copy()
+        return np.broadcast_to(self.coeff, np.shape(q)).copy()
+
+    def evaluate(self, q):
+        return self(q), self.gradient(q)
 
 
 class TestInputVector:
@@ -111,7 +114,7 @@ def per_column_differences(f, iv):
         qp, qm = q.copy(), q.copy()
         qp[j] += h
         qm[j] -= h
-        columns.append((np.asarray(f(qp)) - np.asarray(f(qm))) / (2.0 * h))
+        columns.append((f.evaluate(qp)[0] - f.evaluate(qm)[0]) / (2.0 * h))
     return np.stack(columns, axis=-1)
 
 
@@ -159,7 +162,7 @@ class TestJacobian:
         iv = table_inputs()
         for f in (GammaEstimator(0), GammaEstimator(1), GammaEstimator(2),
                   KlyshkoEstimator()):
-            a = f.gradient(iv.values)
+            a = f.evaluate(iv.values)[1]
             fd = finite_difference_gradient(f, iv)
             scale = max(np.abs(a).max(), np.abs(fd).max())
             assert np.all(np.abs(a - fd) <= 1e-6 * np.maximum(np.abs(a), np.abs(fd))
@@ -175,16 +178,17 @@ class TestJacobian:
         rows = (GammaEstimator(0), GammaEstimator(1), GammaEstimator(2),
                 KlyshkoEstimator())
         for r, f in enumerate(rows):
-            assert core(iv.values)[r] == f(iv.values)
+            assert core.evaluate(iv.values)[0][r] == f.evaluate(iv.values)[0]
             assert np.array_equal(g[r], jacobian(f, iv))
         with pytest.raises(DomainError):
-            GammaEstimator(3)(iv.values)  # row 3 is gamma_K, not a photon number
+            GammaEstimator(3).evaluate(iv.values)  # row 3 is gamma_K, not a photon number
 
         class LyingRow(CountingEstimators):
-            def gradient(self, q):
-                g = super().gradient(q).copy()
-                g[2, 4] *= 1.5  # d gamma2 / d C_off_1
-                return g
+            def evaluate(self, q):
+                values, g = super().evaluate(q)
+                g = g.copy()
+                g[..., 2, 4] *= 1.5  # d gamma2 / d C_off_1
+                return values, g
 
         with pytest.raises(NumericalInstabilityError):
             jacobian(LyingRow(), iv)
@@ -192,11 +196,30 @@ class TestJacobian:
     def test_disagreement_raises(self):
         class Lying(LinearFunctional):
             def gradient(self, q):
-                return 1.5 * self.coeff
+                return 1.5 * super().gradient(q)
 
         iv = InputVector(("a", "b"), np.array([1.0, 2.0]), np.array([0.1, 0.1]))
         with pytest.raises(NumericalInstabilityError):
             jacobian(Lying([2.0, -3.0]), iv)
+
+    def test_disagreement_names_worst_violation(self):
+        class TwoRows:
+            """Row 0 is 1e8 a^3 / 3, whose differences miss its gradient by
+            about 4, within its tolerance of 9e4; row 1 is b but claims
+            d/db = 1.5, the smaller but only violation."""
+
+            def evaluate(self, q):
+                q = np.asarray(q)
+                a, b = q[..., 0], q[..., 1]
+                gradient = np.zeros(q.shape[:-1] + (2, 2))
+                gradient[..., 0, 0] = 1e8 * a**2
+                gradient[..., 1, 1] = 1.5
+                return np.stack([1e8 * a**3 / 3.0, b], axis=-1), gradient
+
+        iv = InputVector(("a", "b"), np.array([30.0, 2.0]), np.array([0.1, 0.1]))
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"disagree in row 1 at b: 1\.5 vs 0\.99999\d*$"):
+            jacobian(TwoRows(), iv)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -229,7 +252,7 @@ class TestJacobian:
         # orthogonal to a common rescaling of all ON (or OFF) counts
         iv = table_inputs()
         for f in (GammaEstimator(0), GammaEstimator(1), KlyshkoEstimator()):
-            g = f.gradient(iv.values)
+            g = f.evaluate(iv.values)[1]
             scale_on = np.concatenate([iv.values[:3], np.zeros(4)])
             scale_off = np.concatenate([np.zeros(3), iv.values[3:6], [0.0]])
             norm = np.abs(g).max() * iv.values.max()
@@ -254,6 +277,26 @@ class TestPropagate:
         iv = table_inputs()
         with pytest.raises(DomainError):
             propagate(np.zeros(iv.size + 1), iv)
+
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_matrix_gives_each_row_its_single_row_budget(self, correlated):
+        cov = None
+        if correlated:
+            cov = np.diag(np.array(U_ON + U_OFF + (U_XI,)) ** 2)
+            cov[0, 3] = cov[3, 0] = 0.9 * U_ON[0] * U_OFF[0]
+            cov[1, 2] = cov[2, 1] = -0.4 * U_ON[1] * U_ON[2]
+        iv = table_inputs(cov)
+        names = ["gamma0", "gamma1", "gamma2", "gammaK"]
+        g = jacobian(CountingEstimators(), iv)
+        budgets = propagate(g, iv, names)
+        assert [b.target for b in budgets] == names
+        for row, name, b in zip(g, names, budgets):
+            single = propagate(row, iv, target=name)
+            assert np.all(np.abs(b.contributions - single.contributions)
+                          <= np.spacing(np.abs(single.contributions)))
+            assert abs(b.combined - single.combined) <= np.spacing(single.combined)
+        with pytest.raises(DomainError, match="targets"):
+            propagate(g, iv, names[:-1])
 
     def test_anticorrelation_shrinks_combined(self):
         names = ("a", "b")
