@@ -62,8 +62,8 @@ def calibrate_counts(
     count_covariance: np.ndarray | None = None,
 ) -> CalibrationResult:
     """Every estimate and budget on extracted (or injected) counts, from one
-    evaluation of the estimator core (values, Jacobian and its cross-check)
-    and one `propagate`; the covariances are those of `counting_inputs`.
+    core evaluation (values, Jacobian, cross-check) and one `propagate`; the
+    covariances are those of `uncertainty.counting_inputs`.
 
     A photon number with no counts on either side, or whose estimate is
     undefined, raises UninformativeBinError naming it.
