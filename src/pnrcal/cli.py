@@ -227,6 +227,7 @@ def cmd_fit(args) -> int:
         "counts": counts.counts.tolist(),
         "count_uncertainties": counts.uncertainties.tolist(),
         "quality": dataclasses.asdict(fit.quality),
+        "diagnostics": fit.diagnostics,
     }
     out = reports.ensure_dir(args.out)
     reports.write_json(document, out / "fit.json")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # cap, Levenberg-Marquardt with the analytic Jacobian of the cell model.
 FTOL = 1e-10
 MAX_ITER = 200
-# `fit_mixture` then takes Gauss-Newton steps until each parameter moves by at
-# most 1e-12 of itself: the cost test stops LM where the deviance is flat to
+# `fit_mixture` then takes Newton steps until each parameter moves by at most
+# 1e-12 of itself: the cost test stops LM where the deviance is flat to
 # rounding, about 3e-7 u short of the optimum, and a refit would move on
 FINISH_STEPS = 8
 MIN_PEAK_SEPARATION_BINS = 3
@@ -120,6 +120,7 @@ class MixtureFit:
     peaks: tuple[GaussianPeak, ...]
     covariance: np.ndarray  # parameter order (A, x, sigma) per peak
     quality: FitQuality
+    diagnostics: dict = field(default_factory=dict)  # solve evaluations, finish steps
 
     def __post_init__(self):
         centers = [p.center for p in self.peaks]
@@ -137,25 +138,27 @@ class MixtureFit:
         )
 
 
-def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray):
-    """(masses, slopes): the (peaks, edges + 1) mass of each Gaussian below
-    edges[0], between consecutive edges and above edges[-1], each row summing
-    to one, and the (2, peaks, edges + 1) derivatives of those masses by each
-    peak's centre and by its width."""
+def gaussian_cells(edges: np.ndarray, centers: np.ndarray, widths: np.ndarray, second=False):
+    """(masses, slopes[, curvatures]): the (peaks, edges + 1) mass of each Gaussian below
+    edges[0], between consecutive edges and above edges[-1], each row summing to one, its
+    (2, peaks, edges + 1) derivatives by each peak's centre x and width s and, with `second`,
+    its (3, peaks, edges + 1) second derivatives by (x, x), (x, s) and (s, s)."""
     from scipy.special import ndtr
 
     z = (edges - centers[:, None]) / widths[:, None]
-    # at each edge, its share of the slopes by the centre and by the width
-    # and the signed tail beyond it; infinite edges add nothing
-    at_edges = np.zeros((3, centers.size, edges.size + 2))
-    at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
-    at_edges[1, :, 1:-1] = at_edges[0, :, 1:-1] * z
+    # at each edge, its share of the slopes by the centre and by the width, the
+    # signed tail beyond it, then of the second derivatives; infinite edges add nothing
+    at_edges = np.zeros((6 if second else 3, centers.size, edges.size + 2))
+    a0 = at_edges[0, :, 1:-1] = -np.exp(-0.5 * z**2) / (SQRT_2PI * widths[:, None])
+    at_edges[1, :, 1:-1] = a0 * z
     # masses from the tails, so that a cell above the centre keeps its
     # relative precision; the cell holding the centre is one less both tails
     at_edges[2, :, 1:-1] = np.where(z < 0, 1.0, -1.0) * ndtr(-np.abs(z))
+    if second:
+        at_edges[3:, :, 1:-1] = a0 / widths[:, None] * np.array([z, z**2 - 1.0, z * (z**2 - 2.0)])
     cells = at_edges[:, :, 1:] - at_edges[:, :, :-1]
     cells[2, np.arange(centers.size), np.count_nonzero(z < 0, axis=1)] += 1.0
-    return cells[2], cells[:2]
+    return (cells[2], cells[:2], cells[3:]) if second else (cells[2], cells[:2])
 
 
 def build_histogram(
@@ -206,16 +209,17 @@ def _seed_from_maxima(hist: AmplitudeHistogram, n_peaks: int) -> np.ndarray:
     candidates = np.flatnonzero(
         (mid > 0) & (mid >= padded[:-2]) & (mid >= padded[2:])
     )
+    # per candidate, the nearest taller bin on each side (or the padding) and the
+    # lowest between, in blocks of candidates that keep the memory linear in the bins
+    j = np.arange(padded.size)  # indexes of padded
     prominence = np.empty(candidates.size)
-    for n, i in enumerate(candidates + 1):  # i indexes padded
-        above = padded > padded[i]
-        above[:i] |= padded[:i] == padded[i]
-        taller = np.flatnonzero(above)
-        k = np.searchsorted(taller, i)
-        left = taller[k - 1] if k > 0 else 0
-        right = taller[k] if k < taller.size else padded.size - 1
-        valley = max(padded[left:i].min(), padded[i:right + 1].min())
-        prominence[n] = padded[i] - valley
+    for rows in np.array_split(np.arange(candidates.size), 1 + candidates.size * j.size // 2**18):
+        i = candidates[rows, None] + 1
+        left = np.where((padded >= padded[i]) & (j < i), j, 0).max(axis=1, keepdims=True)
+        right = np.where((padded > padded[i]) & (j > i), j, j[-1]).min(axis=1, keepdims=True)
+        valley = [np.where((lo <= j) & (j <= hi), padded, np.inf).min(axis=1)
+                  for lo, hi in ((left, i - 1), (i, right))]
+        prominence[rows] = padded[i[:, 0]] - np.maximum(*valley)
     ranked = candidates[np.argsort(-prominence, kind="stable")]
     chosen: list[int] = []
     for j in ranked:
@@ -248,11 +252,11 @@ def _last_value(fn):
     the solver asks for the residuals and the Jacobian at the same point."""
     cache = {}
 
-    def call(params):
-        key = params.tobytes()
+    def call(params, *flags):
+        key = (params.tobytes(), flags)
         if key not in cache:
             cache.clear()
-            cache[key] = fn(params)
+            cache[key] = fn(params, *flags)
         return cache[key]
 
     return call
@@ -269,36 +273,45 @@ def _levenberg_marquardt(residuals, jac, p_start):
     return p, info["fvec"], 1 <= ier <= 4, int(info["nfev"])
 
 
-def _scaled_pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of m, taken with unit columns: the parameters and counts
-    of a fit span many decades."""
-    scale = np.where(m.any(axis=0), np.linalg.norm(m, axis=0), 1.0)
-    return np.linalg.pinv(m / scale) / scale[:, None]
+def _newton_finish(taylor, params: np.ndarray):
+    """(point, steps): Newton steps from params, solved at unit diagonal, on the deviance with
+    its gradient and Hessian by `taylor`, until each parameter moves by at most 1e-12 of
+    itself, FINISH_STEPS at most; params if a step rises by more than 1e-12 of their deviance."""
+    prev, (deviance, gradient, hessian) = params, taylor(params)
+    for steps in range(1, FINISH_STEPS + 1):
+        scale = np.sqrt(np.abs(np.diag(hessian)))
+        point = prev - np.linalg.solve(hessian / np.outer(scale, scale), gradient / scale) / scale
+        if np.all(np.abs(point - prev) <= 1e-12 * np.abs(point)):
+            break
+        prev, (reached, gradient, hessian) = point, taylor(point)
+        if not reached <= deviance * (1.0 + 1e-12):
+            return params, steps
+    return point, steps
 
 
 def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
     """Binned Poisson-likelihood fit of a model of counts to the cell counts y
     (Baker & Cousins 1984, NIM 221:437).
 
-    The parameters are the model's shape parameters, then the log of each of
-    its counts N_k.  `model(params)` gives the counts, the (counts, cells)
-    mass of each count in each cell and the (shape, cells) derivatives of the
-    cells' expectation by the shape parameters.  A cell expects mu = sum_k N_k
-    times its mass k, floored at MIN_EXPECTED.  One solve minimises the
-    deviance over signed deviance residuals.  Returns the solution, the residuals there,
-    whether it converged, the evaluations, `step` and `root`: `step(params)`
-    gives the params one Gauss-Newton step on, and `root(params)` is R, with
-    R R^T the inverse Fisher matrix of the shape parameters and the counts
-    (not their logs).  A start point where a parameter or a residual is not
-    finite raises FitFailureError with reason "seed".
+    The parameters are the model's shape parameters, then the log of each of its counts
+    N_k.  `model(params)` gives the counts, the (counts, cells) mass of each count in
+    each cell and the (shape, cells) derivatives of the cells' expectation by the shape
+    parameters; `model(params, True)` also its (params, params, cells) second
+    derivatives by the parameters.  A cell expects mu = sum_k N_k times its mass k,
+    floored at MIN_EXPECTED.  One solve minimises the deviance D over signed deviance
+    residuals.  Returns the solution, the residuals there, whether it converged, the
+    evaluations, `taylor` and `root`: `taylor(params)` is D with its gradient and exact
+    Hessian, and `root(params)` is R, with R R^T the inverse Fisher matrix of the shape
+    parameters and the counts (not their logs).  A start point where a parameter or a
+    residual is not finite raises FitFailureError with reason "seed".
     """
 
     @_last_value
-    def fit(params):
+    def fit(params, *second):
         """Each cell's signed deviance residual; its expectation mu; the
         derivatives of mu by each parameter and each count, zero below the
-        floor; and the counts."""
-        count, masses, by_shape = model(params)
+        floor; the counts; and, given True, the second derivatives."""
+        count, masses, by_shape, *by_pair = model(params, *second)
         # stacked column by column: the memory layout sets the order in which
         # `root` sums each column's norm, and so the last bits of a covariance
         by_param = np.column_stack([*by_shape, masses.T])
@@ -308,7 +321,7 @@ def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
         # the deviance, in a form without cancellation near mu = y
         t = np.divide(mu - y, y, out=np.zeros_like(y), where=y > 0)
         deviance = 2.0 * np.where(y > 0, y * (t - np.log1p(t)), mu)
-        return np.sign(mu - y) * np.sqrt(np.maximum(deviance, 0.0)), mu, by_param, count
+        return np.sign(mu - y) * np.sqrt(np.maximum(deviance, 0.0)), mu, by_param, count, *by_pair
 
     def jac(params):
         r, mu, by_param, count = fit(params)
@@ -317,19 +330,26 @@ def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
         by_log_count = np.concatenate([np.ones(params.size - count.size), count])
         return d_mu[:, None] * by_param * by_log_count
 
-    def step(params):
-        return params - _scaled_pinv(jac(params)) @ fit(params)[0]
+    def taylor(params):
+        r, mu, by_param, count, by_pair = fit(params, True)
+        by_param = by_param * np.concatenate([np.ones(params.size - count.size), count])
+        # d D / d mu; a cell at the floor has no second derivatives either
+        d_mu = np.where(mu > MIN_EXPECTED, 2.0 - 2.0 * y / mu, 0.0)
+        return r @ r, d_mu @ by_param, (by_param.T * (2.0 * y / mu**2)) @ by_param + by_pair @ d_mu
 
     def root(params):
-        # (W^T W)^-1 = W^+ W^+^T, W = (d mu / d params) / sqrt(mu)
+        # (W^T W)^-1 = W^+ W^+^T, W = (d mu / d params) / sqrt(mu); W^+ is taken
+        # with unit columns, as the parameters and counts span many decades
         _, mu, by_param, _ = fit(params)
-        return _scaled_pinv(by_param / np.sqrt(mu)[:, None])
+        w = by_param / np.sqrt(mu)[:, None]
+        scale = np.where(w.any(axis=0), np.linalg.norm(w, axis=0), 1.0)
+        return np.linalg.pinv(w / scale) / scale[:, None]
 
     bad = np.count_nonzero(~np.isfinite(np.concatenate([start, fit(start)[0]])))
     if bad:
         raise FitFailureError(f"fit not finite at the start point ({bad} of {start.size} "
                               f"parameters and {y.size} residuals)", reason="seed")
-    return (*_levenberg_marquardt(lambda q: fit(q)[0], jac, start), step, root)
+    return (*_levenberg_marquardt(lambda q: fit(q)[0], jac, start), taylor, root)
 
 
 def fit_mixture(
@@ -343,9 +363,9 @@ def fit_mixture(
     expects sum_k N_k times its `gaussian_cells` mass; under- and overflow are
     not fitted.  `_poisson_fit` solves for x_k, sigma_k and log N_k, started
     from `init` or from the histogram's most prominent maxima with N = A sigma
-    sqrt(2 pi) / w, and FINISH_STEPS Gauss-Newton steps at most finish the
-    solve.  The covariance is the inverse Fisher matrix there, taken to each
-    peak's (A, x, sigma) by A = N w / (sigma sqrt(2 pi)).
+    sqrt(2 pi) / w, and `_newton_finish` takes the solve on to the optimum.
+    The covariance is the inverse Fisher matrix there, taken to each peak's
+    (A, x, sigma) by A = N w / (sigma sqrt(2 pi)).
     Peaks are returned sorted by center.  FitFailureError's `reason` is "seed"
     (too few maxima, or a start point that is not finite, as from a zero
     amplitude),
@@ -369,28 +389,36 @@ def fit_mixture(
     k, w, edges = n_peaks, hist.bin_width, hist.bin_edges
     a, x, s = seeds.T
 
-    def model(params):
+    def model(params, second=False):
         """The peaks' counts, their bin masses, and the derivatives of the bins'
-        expectation by each centre and each width; the model is even in the
-        widths."""
+        expectation by each centre and each width, with `second` by each pair
+        of parameters; the model is even in the widths."""
         centers, widths, count = params[:k], np.abs(params[k:2 * k]), np.exp(params[2 * k:])
-        masses, (by_center, by_width) = gaussian_cells(edges, centers, widths)
-        by_width = by_width[:, 1:-1] * (count * np.sign(params[k:2 * k]))[:, None]
-        return count, masses[:, 1:-1], np.vstack([count[:, None] * by_center[:, 1:-1], by_width])
+        masses, (by_center, by_width), *curvatures = gaussian_cells(edges, centers, widths, second)
+        sign = np.sign(params[k:2 * k])[:, None]
+        masses, by_center = masses[:, 1:-1], count[:, None] * by_center[:, 1:-1]
+        by_shape = np.vstack([by_center, by_width[:, 1:-1] * count[:, None] * sign])
+        if not second:
+            return count, masses, by_shape
+        xx, xs, ss = count[:, None] * curvatures[0][:, :, 1:-1]
+        # by (x, sigma, log N) of each peak twice; no term mixes two peaks
+        blocks = [[xx, xs * sign, by_shape[:k]], [xs * sign, ss, by_shape[k:]],
+                  [by_shape[:k], by_shape[k:], count[:, None] * masses]]
+        by_pair = np.zeros((3, k, 3, k, masses.shape[1]))
+        by_pair[:, np.arange(k), :, np.arange(k)] = np.moveaxis(np.array(blocks), 2, 0)
+        return count, masses, by_shape, by_pair.reshape(3 * k, 3 * k, -1)
 
     # a runaway component overflows the model on its way out of the
     # histogram; it is rejected below, so the overflow is no error.  A zero
     # amplitude starts at log count -inf, refused as a start not finite.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start = np.concatenate([x, s, np.log(a * np.abs(s) * SQRT_2PI / w)])
-        p, r, converged, _, step, root = _poisson_fit(hist.counts, model, start)
+        p, r, converged, evaluations, taylor, root = _poisson_fit(hist.counts, model, start)
         # a spike or a runaway is refused at the solve's point, where the
         # finish's steps would diverge, and at the finished point
-        for finish in (0, FINISH_STEPS if converged else 0):
-            for _ in range(finish):
-                prev, p = p, step(p)
-                if np.all(np.abs(p - prev) <= 1e-12 * np.abs(p)):
-                    break
+        for finish in (False, converged):
+            if finish:
+                p, steps = _newton_finish(taylor, p)
             x, s, count = p[:k], np.abs(p[k:2 * k]), np.exp(p[2 * k:])
             per_event = w / (s * SQRT_2PI)
             order = np.argsort(x)
@@ -413,7 +441,7 @@ def fit_mixture(
     u = np.sqrt(np.diag(cov))
     peaks = tuple(GaussianPeak(*params[3 * j:3 * j + 3], *u[3 * j:3 * j + 3]) for j in range(k))
     quality = _quality(count @ gaussian_cells(edges, x, s)[0][:, 1:-1], hist, n_peaks)
-    return MixtureFit(peaks=peaks, covariance=cov, quality=quality)
+    return MixtureFit(peaks, cov, quality, dict(evaluations=evaluations, finish_steps=steps))
 
 
 def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:

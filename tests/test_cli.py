@@ -170,6 +170,12 @@ class TestFit:
         assert len(doc["peaks"]) == 2
         assert abs(doc["counts"][0] - 100_000) < 5 * np.sqrt(100_000)
         assert doc["quality"]["ratio"] < 1e-2
+        assert doc["diagnostics"]["evaluations"] > 0
+        assert 1 <= doc["diagnostics"]["finish_steps"] <= 3
+        # a second run writes the same bytes
+        assert main(["fit", str(path), "--peaks", "2",
+                     "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert (tmp_path / "again" / "fit.json").read_bytes() == (tmp_path / "fit.json").read_bytes()
 
     def test_missing_file_exit_2(self, tmp_path):
         # a missing file, then a row that is not two numbers
