@@ -4,7 +4,8 @@ Config files use INI syntax (key = value under [section] headers); see the
 README for the documented keys.  Exit codes are stable: 0 success, 2
 usage/config error (a path that cannot be read or written, or a config value
 that is not a number, included), 3 fit failure, 4 uninformative estimator
-bin.  The commands raise; `main` alone maps each exception to its exit code.
+bin or an estimator whose derivatives cannot be checked.  The commands raise;
+`main` alone maps each exception to its exit code.
 All diagnostics go to stderr as single-line key=value pairs.
 """
 
@@ -26,6 +27,7 @@ from .errors import (
     ConfigError,
     DomainError,
     FitFailureError,
+    NumericalInstabilityError,
     UninformativeBinError,
 )
 from .model import CountVector, HeraldPurity, HeraldStats, estimate_xi
@@ -73,38 +75,26 @@ def _positive(value: int, flag: str) -> int:
     return value
 
 
+# the INI converter of each ExperimentConfig field, by its annotation (a string)
+_CONVERTERS = {"float": float, "int": int, "tuple[float, ...]": _floats}
+
+
 def _experiment_config(path, seed_override=None) -> sim.ExperimentConfig:
+    """The [experiment] section as ExperimentConfig: each field without a
+    default is required, and so is the seed unless `seed_override` gives it;
+    the pile-up keys are optional."""
     parser = _read_ini(path)
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     sec = parser["experiment"]
-    required = [
-        "gamma_true",
-        "xi_true",
-        "herald_prob",
-        "background_mean",
-        "peak_centers",
-        "peak_widths",
-        "n_pulses",
-    ]
-    if seed_override is None:
-        required.append("seed")
-    for key in required:
-        if key not in sec:
-            raise ConfigError(f"missing field '{key}' in [experiment]")
-    # the pile-up keys are optional: ExperimentConfig holds their defaults
-    pileup = {k: _number(sec, k) for k in ("rep_period_us", "detector_recovery_us") if k in sec}
-    return sim.ExperimentConfig(
-        gamma_true=_number(sec, "gamma_true"),
-        xi_true=_number(sec, "xi_true"),
-        herald_prob=_number(sec, "herald_prob"),
-        background_mean=_number(sec, "background_mean"),
-        peak_centers=_number(sec, "peak_centers", _floats),
-        peak_widths=_number(sec, "peak_widths", _floats),
-        n_pulses=_number(sec, "n_pulses", int),
-        seed=int(seed_override) if seed_override is not None else _number(sec, "seed", int),
-        **pileup,
-    )
+    values = {} if seed_override is None else {"seed": int(seed_override)}
+    fields = [f for f in dataclasses.fields(sim.ExperimentConfig) if f.name not in values]
+    for f in fields:
+        if f.name not in sec and (f.default is dataclasses.MISSING or f.name == "seed"):
+            raise ConfigError(f"missing field '{f.name}' in [experiment]")
+    values.update((f.name, _number(sec, f.name, _CONVERTERS[f.type]))
+                  for f in fields if f.name in sec)
+    return sim.ExperimentConfig(**values)
 
 
 def _herald_purity(parser: configparser.ConfigParser) -> HeraldPurity:
@@ -213,17 +203,7 @@ def cmd_fit(args) -> int:
     fit = hg.fit_mixture(hist, args.peaks)
     counts = hg.extract_counts(fit, hist.bin_width)
     document = {
-        "peaks": [
-            {
-                "amplitude": p.amplitude,
-                "center": p.center,
-                "sigma": p.sigma,
-                "u_amplitude": p.u_amplitude,
-                "u_center": p.u_center,
-                "u_sigma": p.u_sigma,
-            }
-            for p in fit.peaks
-        ],
+        "peaks": [dataclasses.asdict(p) for p in fit.peaks],
         "counts": counts.counts.tolist(),
         "count_uncertainties": counts.uncertainties.tolist(),
         "quality": dataclasses.asdict(fit.quality),
@@ -340,6 +320,10 @@ def main(argv=None) -> int:
     except FitFailureError as exc:
         # a failed fit, or a gate on it, with its keys (side, reason, ...)
         return _fail(EXIT_FIT, error="fit", **exc.keys, detail=_oneline(exc))
+    # an estimator whose derivatives disagree with its finite differences, as
+    # where two OFF counts nearly cancel in a denominator
+    except NumericalInstabilityError as exc:
+        return _fail(EXIT_UNINFORMATIVE, error="numerical", detail=_oneline(exc))
 
 
 if __name__ == "__main__":

@@ -27,10 +27,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # cap, Levenberg-Marquardt with the analytic Jacobian of the cell model.
 FTOL = 1e-10
 MAX_ITER = 200
-# `fit_mixture` then takes Newton steps until each parameter moves by at most
-# 1e-12 of itself: the cost test stops LM where the deviance is flat to
-# rounding, about 3e-7 u short of the optimum, and a refit would move on
-FINISH_STEPS = 8
 MIN_PEAK_SEPARATION_BINS = 3
 # largest comb-fit Poisson deviance per degree of freedom: 8000 paper-scale
 # closure fits at sigma 0.08-0.2 reach 1.9, an unmodelled peak gives 1600
@@ -120,7 +116,7 @@ class MixtureFit:
     peaks: tuple[GaussianPeak, ...]
     covariance: np.ndarray  # parameter order (A, x, sigma) per peak
     quality: FitQuality
-    diagnostics: dict = field(default_factory=dict)  # solve evaluations, finish steps
+    diagnostics: dict = field(default_factory=dict)  # solve evaluations, finish step kept
 
     def __post_init__(self):
         centers = [p.center for p in self.peaks]
@@ -274,19 +270,15 @@ def _levenberg_marquardt(residuals, jac, p_start):
 
 
 def _newton_finish(taylor, params: np.ndarray):
-    """(point, steps): Newton steps from params, solved at unit diagonal, on the deviance with
-    its gradient and Hessian by `taylor`, until each parameter moves by at most 1e-12 of
-    itself, FINISH_STEPS at most; params if a step rises by more than 1e-12 of their deviance."""
-    prev, (deviance, gradient, hessian) = params, taylor(params)
-    for steps in range(1, FINISH_STEPS + 1):
-        scale = np.sqrt(np.abs(np.diag(hessian)))
-        point = prev - np.linalg.solve(hessian / np.outer(scale, scale), gradient / scale) / scale
-        if np.all(np.abs(point - prev) <= 1e-12 * np.abs(point)):
-            break
-        prev, (reached, gradient, hessian) = point, taylor(point)
-        if not reached <= deviance * (1.0 + 1e-12):
-            return params, steps
-    return point, steps
+    """(point, kept): one Newton step from params on the deviance, with its gradient and
+    Hessian by `taylor`, solved at unit diagonal, or (params, False) if it raises the
+    deviance by more than 1e-12 of theirs.  LM stops where the deviance is flat to rounding,
+    typically 3e-7 u short of the optimum, and Newton converges quadratically."""
+    deviance, gradient, hessian = taylor(params)
+    scale = np.sqrt(np.abs(np.diag(hessian)))
+    point = params - np.linalg.solve(hessian / np.outer(scale, scale), gradient / scale) / scale
+    kept = bool(taylor(point, False) <= deviance * (1.0 + 1e-12))
+    return (point if kept else params), kept
 
 
 def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
@@ -302,8 +294,9 @@ def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
     residuals.  Returns the solution, the residuals there, whether it converged, the
     evaluations, `taylor` and `root`: `taylor(params)` is D with its gradient and exact
     Hessian, and `root(params)` is R, with R R^T the inverse Fisher matrix of the shape
-    parameters and the counts (not their logs).  A start point where a parameter or a
-    residual is not finite raises FitFailureError with reason "seed".
+    parameters and the counts (not their logs).  `taylor(params, False)` is D alone, and
+    it and `root(params)` share one model evaluation at params.  A start point where a
+    parameter or a residual is not finite raises FitFailureError with reason "seed".
     """
 
     @_last_value
@@ -330,7 +323,10 @@ def _poisson_fit(y: np.ndarray, model, start: np.ndarray):
         by_log_count = np.concatenate([np.ones(params.size - count.size), count])
         return d_mu[:, None] * by_param * by_log_count
 
-    def taylor(params):
+    def taylor(params, second=True):
+        if not second:
+            r = fit(params)[0]
+            return r @ r
         r, mu, by_param, count, by_pair = fit(params, True)
         by_param = by_param * np.concatenate([np.ones(params.size - count.size), count])
         # d D / d mu; a cell at the floor has no second derivatives either
@@ -363,7 +359,7 @@ def fit_mixture(
     expects sum_k N_k times its `gaussian_cells` mass; under- and overflow are
     not fitted.  `_poisson_fit` solves for x_k, sigma_k and log N_k, started
     from `init` or from the histogram's most prominent maxima with N = A sigma
-    sqrt(2 pi) / w, and `_newton_finish` takes the solve on to the optimum.
+    sqrt(2 pi) / w, and one `_newton_finish` step takes the solve on to the optimum.
     The covariance is the inverse Fisher matrix there, taken to each peak's
     (A, x, sigma) by A = N w / (sigma sqrt(2 pi)).
     Peaks are returned sorted by center.  FitFailureError's `reason` is "seed"
@@ -414,23 +410,22 @@ def fit_mixture(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start = np.concatenate([x, s, np.log(a * np.abs(s) * SQRT_2PI / w)])
         p, r, converged, evaluations, taylor, root = _poisson_fit(hist.counts, model, start)
-        # a spike or a runaway is refused at the solve's point, where the
-        # finish's steps would diverge, and at the finished point
-        for finish in (False, converged):
-            if finish:
-                p, steps = _newton_finish(taylor, p)
-            x, s, count = p[:k], np.abs(p[k:2 * k]), np.exp(p[2 * k:])
-            per_event = w / (s * SQRT_2PI)
-            order = np.argsort(x)
-            params = np.column_stack([count * per_event, x, s])[order].ravel()
-            _reject_degenerate(params, hist)
-        p[k:2 * k] = s
+        # the model is even in the widths; a spike or a runaway is refused at the
+        # solve's point, where the finish's step would diverge, and at the finished point
+        p[k:2 * k] = np.abs(p[k:2 * k])
+        _reject_degenerate(p, hist)
+        if converged:
+            p, kept = _newton_finish(taylor, p)
+            _reject_degenerate(p, hist)
     if not converged:
         raise FitFailureError(
             "mixture fit did not converge within the iteration cap",
             reason="convergence",
             residual_norm=float(np.linalg.norm(r)),
         )
+    x, s, count = p[:k], p[k:2 * k], np.exp(p[2 * k:])
+    per_event = w / (s * SQRT_2PI)
+    order = np.argsort(x)
     # d (A, x, sigma) / d (x, sigma, N), rows per peak in order of center
     eye, zero = np.eye(k), np.zeros((k, k))
     to_peaks = np.block([[zero, np.diag(-count * per_event / s), np.diag(per_event)],
@@ -438,21 +433,23 @@ def fit_mixture(
     root_peaks = to_peaks[(order[:, None] + k * np.arange(3)).ravel()] @ root(p)
     cov = root_peaks @ root_peaks.T
 
+    params = np.column_stack([count * per_event, x, s])[order].ravel()
     u = np.sqrt(np.diag(cov))
     peaks = tuple(GaussianPeak(*params[3 * j:3 * j + 3], *u[3 * j:3 * j + 3]) for j in range(k))
     quality = _quality(count @ gaussian_cells(edges, x, s)[0][:, 1:-1], hist, n_peaks)
-    return MixtureFit(peaks, cov, quality, dict(evaluations=evaluations, finish_steps=steps))
+    return MixtureFit(peaks, cov, quality, dict(evaluations=evaluations, finish_kept=kept))
 
 
-def _reject_degenerate(params: np.ndarray, hist: AmplitudeHistogram) -> None:
-    """Raise FitFailureError for a peak that is not finite, narrower than
-    one bin or centred outside the histogram: such a component is a spike
-    on a noise bin or a runaway, not a photon-number peak."""
+def _reject_degenerate(p: np.ndarray, hist: AmplitudeHistogram) -> None:
+    """Raise FitFailureError for a peak of p (centres, widths, log counts) that is not
+    finite, narrower than one bin or centred outside the histogram: a spike on a noise
+    bin or a runaway, not a photon-number peak.  Peaks are named in order of centre."""
     lo, hi = hist.bin_edges[0], hist.bin_edges[-1]
     width = hist.bin_width
-    for k, peak in enumerate(params.reshape(-1, 3)):
-        _, center, sigma = peak
-        if not np.isfinite(peak).all():
+    centers, sigmas, log_counts = p.reshape(3, -1)
+    for k, j in enumerate(np.argsort(centers)):
+        center, sigma = centers[j], sigmas[j]
+        if not np.isfinite([center, sigma, np.exp(log_counts[j])]).all():
             problem = "not finite"
         elif not sigma >= width:
             problem = f"narrower than one bin ({width:.6g})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -199,17 +199,7 @@ def closure_report_json(report) -> dict:
         "n_completed": report.n_completed,
         "failures": list(report.failures),
         "estimators": {
-            e.name: {
-                "n_success": e.n_success,
-                "mean": e.mean,
-                "spread": e.spread,
-                "mean_claimed_u": e.mean_claimed_u,
-                "bias": e.bias,
-                "pull_mean": e.pull_mean,
-                "pull_variance": e.pull_variance,
-                "n_out_of_range": e.n_out_of_range,
-            }
-            for e in report.estimators
+            e.name: {k: v for k, v in asdict(e).items() if k != "name"} for e in report.estimators
         },
     }
 
